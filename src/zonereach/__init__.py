@@ -3,8 +3,9 @@
 Parse a network with :func:`parse_spec`, a ``go(...)`` query with
 :func:`parse_query`, and decide it with :func:`explore`.  Zones are
 represented either as difference-bound matrices (:class:`Dbm`) or as
-conjunctions of difference constraints (:class:`Formula`); the two
-backends are interchangeable through :func:`make_backend`.
+conjunctions of difference constraints (:class:`Formula`); both offer
+the same zone operations, so the search calls them directly, and
+``SearchOptions(backend=...)`` picks one.
 """
 
 from .dbm import Dbm
@@ -14,7 +15,6 @@ from .explorer import (
     SearchStats,
     Verdict,
     explore,
-    make_backend,
     replay_witness,
 )
 from .formula import Formula
@@ -60,7 +60,6 @@ __all__ = [
     "Verdict",
     "explore",
     "find_concrete_run",
-    "make_backend",
     "max_constants",
     "parse_query",
     "parse_spec",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -104,14 +105,7 @@ def _selftest(net: Network, queries: list[tuple[str, Query]], base: SearchOption
         verdicts = {}
         for backend in ("dbm", "formula"):
             for order in ("dfs", "bfs"):
-                options = SearchOptions(
-                    backend=backend,
-                    order=order,
-                    subsumption=base.subsumption,
-                    extrapolate=base.extrapolate,
-                    max_zones=base.max_zones,
-                    max_seconds=base.max_seconds,
-                )
+                options = replace(base, backend=backend, order=order)
                 verdicts[(backend, order)] = explore(net, query, options).verdict
         if any(v is Verdict.INCONCLUSIVE for v in verdicts.values()):
             print(f"inconclusive: {text}", file=sys.stderr)
@@ -170,8 +164,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if outcome.verdict is Verdict.INCONCLUSIVE:
             print(f"zonereach: {text}: {outcome.reason}", file=sys.stderr)
             status = GAVE_UP
-            continue
-        print(f"{text}\t{outcome.verdict}")
+        else:
+            print(f"{text}\t{outcome.verdict}")
         if args.witness and outcome.verdict is Verdict.REACHABLE:
             steps = " ".join(label.name for label in outcome.witness)
             print(f"# witness: {steps}" if steps else "# witness: (empty)")

@@ -117,12 +117,13 @@ class Dbm:
 
     # -- basic queries -----------------------------------------------
 
-    @property
-    def empty(self) -> bool:
-        return self.cells is None
-
     def is_empty(self) -> bool:
         return self.cells is None
+
+    @property
+    def key(self) -> tuple[int, ...] | None:
+        """Hashable and canonical: equal keys mean equal zones."""
+        return self.cells
 
     def _index(self, clock: ClockId) -> int:
         try:

@@ -28,11 +28,10 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
-from typing import Hashable, Iterator, Mapping, Optional, Protocol, Sequence
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
-from . import formula as fm
 from .dbm import Dbm
+from .formula import Formula
 from .model import (
     ClockConstraint,
     ClockId,
@@ -41,116 +40,23 @@ from .model import (
     Network,
     Query,
     StatePattern,
+    joint_moves,
     max_constants,
 )
 
 LocationVector = tuple[LocationId, ...]
 
-
-class ZoneBackend(Protocol):
-    clocks: tuple[ClockId, ...]
-
-    def from_constraint(self, c: ClockConstraint): ...
-    def intersect(self, a, b): ...
-    def reset(self, z, clocks: Sequence[ClockId]): ...
-    def elapse(self, z): ...
-    def is_empty(self, z) -> bool: ...
-    def includes(self, a, b) -> bool: ...
-    def is_equivalent(self, a, b) -> bool: ...
-    def extrapolate(self, z, k: Mapping[ClockId, int]): ...
-    def fingerprint(self, z) -> Hashable: ...
-
-
-class DbmBackend:
-    """Zones as canonical difference-bound matrices."""
-
-    def __init__(self, clocks: Sequence[ClockId]):
-        self.clocks = tuple(clocks)
-
-    def from_constraint(self, c: ClockConstraint) -> Dbm:
-        return Dbm.from_constraint(c, self.clocks)
-
-    def intersect(self, a: Dbm, b: Dbm) -> Dbm:
-        return a.intersect(b)
-
-    def reset(self, z: Dbm, clocks: Sequence[ClockId]) -> Dbm:
-        return z.reset(clocks)
-
-    def elapse(self, z: Dbm) -> Dbm:
-        return z.elapse()
-
-    def is_empty(self, z: Dbm) -> bool:
-        return z.is_empty()
-
-    def includes(self, a: Dbm, b: Dbm) -> bool:
-        return a.includes(b)
-
-    def is_equivalent(self, a: Dbm, b: Dbm) -> bool:
-        return a.is_equivalent(b)
-
-    def extrapolate(self, z: Dbm, k: Mapping[ClockId, int]) -> Dbm:
-        return z.extrapolate(k)
-
-    def fingerprint(self, z: Dbm) -> Hashable:
-        return z.cells
-
-
-class FormulaBackend:
-    """Zones as inequality conjunctions under Fourier-Motzkin.
-
-    Visited-set comparisons go through the tightest-bounds form of a
-    formula (itself obtained by eliminations), which is canonical, so
-    equality and inclusion are cheap cellwise checks there.
-    """
-
-    def __init__(self, clocks: Sequence[ClockId]):
-        self.clocks = tuple(clocks)
-
-    def from_constraint(self, c: ClockConstraint) -> fm.Formula:
-        return fm.Formula.from_constraint(c, self.clocks)
-
-    def intersect(self, a: fm.Formula, b: fm.Formula) -> fm.Formula:
-        return fm.fm_intersect(a, b)
-
-    def reset(self, z: fm.Formula, clocks: Sequence[ClockId]) -> fm.Formula:
-        return fm.fm_reset(z, clocks)
-
-    def elapse(self, z: fm.Formula) -> fm.Formula:
-        return fm.fm_elapse(z)
-
-    def is_empty(self, z: fm.Formula) -> bool:
-        return fm.fm_is_empty(z)
-
-    def includes(self, a: fm.Formula, b: fm.Formula) -> bool:
-        ca, cb = a.closed_cells, b.closed_cells
-        if cb is None:
-            return True
-        if ca is None:
-            return False
-        return all(y <= x for x, y in zip(ca, cb))
-
-    def is_equivalent(self, a: fm.Formula, b: fm.Formula) -> bool:
-        return a.closed_cells == b.closed_cells
-
-    def extrapolate(self, z: fm.Formula, k: Mapping[ClockId, int]) -> fm.Formula:
-        return fm.fm_extrapolate(z, k)
-
-    def fingerprint(self, z: fm.Formula) -> Hashable:
-        return z.closed_cells
-
-
-def make_backend(name: str, clocks: Sequence[ClockId]) -> ZoneBackend:
-    if name == "dbm":
-        return DbmBackend(clocks)
-    if name == "formula":
-        return FormulaBackend(clocks)
-    raise ValueError(f"unknown backend {name!r}")
+# Both zone types offer the same surface: ``from_constraint(c, clocks)``,
+# ``intersect``, ``reset``, ``elapse``, ``is_empty``, ``includes``,
+# ``extrapolate`` and a hashable canonical ``key``.
+Zone = Union[Dbm, Formula]
+ZONE_TYPES: dict[str, type] = {"dbm": Dbm, "formula": Formula}
 
 
 @dataclass(frozen=True)
 class StateZone:
     locations: LocationVector
-    zone: object
+    zone: Zone
 
 
 class Verdict(Enum):
@@ -164,7 +70,7 @@ class Verdict(Enum):
 
 @dataclass
 class SearchOptions:
-    backend: str = "dbm"
+    backend: str = "dbm"  # a key of ZONE_TYPES
     order: str = "dfs"  # "dfs" | "bfs"
     subsumption: str = "include"  # "include" | "equal"
     extrapolate: bool = True
@@ -172,6 +78,8 @@ class SearchOptions:
     max_seconds: Optional[float] = None
 
     def __post_init__(self):
+        if self.backend not in ZONE_TYPES:
+            raise ValueError(f"unknown backend {self.backend!r}")
         if self.order not in ("dfs", "bfs"):
             raise ValueError(f"unknown order {self.order!r}")
         if self.subsumption not in ("include", "equal"):
@@ -193,103 +101,93 @@ class ExploreResult:
     reason: Optional[str] = None
 
 
-def _invariant_zone(net: Network, backend: ZoneBackend, vector: LocationVector, cache: dict):
+def _invariant_zone(net: Network, zone_type: type, vector: LocationVector, cache: dict) -> Zone:
     zone = cache.get(vector)
     if zone is None:
         atoms = []
         for aut, loc in zip(net.automata, vector):
             atoms.extend(aut.invariants[loc].atoms)
-        zone = backend.from_constraint(ClockConstraint(tuple(atoms)))
+        zone = zone_type.from_constraint(ClockConstraint(tuple(atoms)), net.clocks)
         cache[vector] = zone
     return zone
 
 
-def init_zone(net: Network, source: StatePattern, backend: ZoneBackend, cache: Optional[dict] = None):
+def init_zone(net: Network, source: StatePattern, zone_type: type, cache: dict) -> Zone:
     """Source constraint restricted to the source invariants, before delay."""
-    if cache is None:
-        cache = {}
-    zone = backend.from_constraint(source.constraint)
-    return backend.intersect(zone, _invariant_zone(net, backend, source.locations, cache))
+    zone = zone_type.from_constraint(source.constraint, net.clocks)
+    return zone.intersect(_invariant_zone(net, zone_type, source.locations, cache))
 
 
-def _delay_close(net: Network, backend: ZoneBackend, vector: LocationVector, zone, cache: dict):
-    inv = _invariant_zone(net, backend, vector, cache)
-    return backend.intersect(backend.elapse(zone), inv)
+def _delay_close(net: Network, vector: LocationVector, zone: Zone, cache: dict) -> Zone:
+    return zone.elapse().intersect(_invariant_zone(net, type(zone), vector, cache))
+
+
+def root_state(
+    net: Network,
+    query: Query,
+    zone_type: type,
+    k: Mapping[ClockId, int],
+    extrapolate: bool,
+    invariant_cache: dict,
+) -> Optional[StateZone]:
+    """The stored form of the source state, None when the source is empty."""
+    zone = init_zone(net, query.source, zone_type, invariant_cache)
+    if zone.is_empty():
+        return None
+    zone = _delay_close(net, query.source.locations, zone, invariant_cache)
+    if extrapolate:
+        zone = zone.extrapolate(k)
+    return StateZone(query.source.locations, zone)
 
 
 def successors(
     net: Network,
     state: StateZone,
-    backend: ZoneBackend,
     k: Mapping[ClockId, int],
     extrapolate: bool = True,
     invariant_cache: Optional[dict] = None,
 ) -> Iterator[tuple[LabelId, StateZone]]:
-    """All label moves from a state, in declaration order.
-
-    Labels follow the global declaration list; for each label the
-    participating automata contribute their enabled transitions in
-    declaration order and every combination is taken.
-    """
+    """All label moves from a state, in the declaration order of
+    ``model.joint_moves``."""
     if invariant_cache is None:
         invariant_cache = {}
-    for label in net.labels:
-        participants = [i for i, aut in enumerate(net.automata) if label in aut.alphabet]
-        if not participants:
+    zone_type = type(state.zone)
+    for label, moves in joint_moves(net, state.locations):
+        guard_atoms = []
+        resets: list[ClockId] = []
+        vector = list(state.locations)
+        for i, t in moves:
+            guard_atoms.extend(t.guard.atoms)
+            resets.extend(c for c in t.resets if c not in resets)
+            vector[i] = t.target
+        vector = tuple(vector)
+        zone = state.zone.intersect(
+            zone_type.from_constraint(ClockConstraint(tuple(guard_atoms)), net.clocks)
+        )
+        if zone.is_empty():
             continue
-        outgoing = []
-        for i in participants:
-            candidates = [
-                t
-                for t in net.automata[i].transitions
-                if t.label == label and t.source == state.locations[i]
-            ]
-            if not candidates:
-                outgoing = None
-                break
-            outgoing.append(candidates)
-        if outgoing is None:
+        zone = zone.reset(resets)
+        zone = zone.intersect(_invariant_zone(net, zone_type, vector, invariant_cache))
+        if zone.is_empty():
             continue
-        for combo in product(*outgoing):
-            guard_atoms = []
-            resets: list[ClockId] = []
-            vector = list(state.locations)
-            for i, t in zip(participants, combo):
-                guard_atoms.extend(t.guard.atoms)
-                resets.extend(c for c in t.resets if c not in resets)
-                vector[i] = t.target
-            vector = tuple(vector)
-            zone = backend.intersect(
-                state.zone, backend.from_constraint(ClockConstraint(tuple(guard_atoms)))
-            )
-            if backend.is_empty(zone):
-                continue
-            zone = backend.reset(zone, resets)
-            zone = backend.intersect(
-                zone, _invariant_zone(net, backend, vector, invariant_cache)
-            )
-            if backend.is_empty(zone):
-                continue
-            zone = _delay_close(net, backend, vector, zone, invariant_cache)
-            if extrapolate:
-                zone = backend.extrapolate(zone, k)
-            yield label, StateZone(vector, zone)
+        zone = _delay_close(net, vector, zone, invariant_cache)
+        if extrapolate:
+            zone = zone.extrapolate(k)
+        yield label, StateZone(vector, zone)
 
 
-def is_goal(state: StateZone, target: StatePattern, backend: ZoneBackend) -> bool:
+def is_goal(state: StateZone, target: StatePattern) -> bool:
     """Exact location match plus non-empty overlap with the constraint."""
     if state.locations != target.locations:
         return False
-    return not backend.is_empty(
-        backend.intersect(state.zone, backend.from_constraint(target.constraint))
-    )
+    zone = state.zone
+    return not zone.intersect(type(zone).from_constraint(target.constraint, zone.clocks)).is_empty()
 
 
 class _Visited:
     """Per-location-vector store with equality or inclusion pruning."""
 
-    def __init__(self, backend: ZoneBackend, mode: str):
-        self.backend = backend
+    def __init__(self, mode: str):
         self.mode = mode
         self.keys: set = set()
         self.zones: dict[LocationVector, list] = {}
@@ -297,16 +195,16 @@ class _Visited:
 
     def subsumed(self, state: StateZone) -> bool:
         if self.mode == "equal":
-            return (state.locations, self.backend.fingerprint(state.zone)) in self.keys
+            return (state.locations, state.zone.key) in self.keys
         bucket = self.zones.get(state.locations)
         if not bucket:
             return False
-        return any(self.backend.includes(old, state.zone) for old in bucket)
+        return any(old.includes(state.zone) for old in bucket)
 
     def add(self, state: StateZone) -> None:
         self.count += 1
         if self.mode == "equal":
-            self.keys.add((state.locations, self.backend.fingerprint(state.zone)))
+            self.keys.add((state.locations, state.zone.key))
         else:
             self.zones.setdefault(state.locations, []).append(state.zone)
 
@@ -338,7 +236,6 @@ def explore(net: Network, query: Query, options: Optional[SearchOptions] = None)
         options = SearchOptions()
     started = time.monotonic()
     deadline = None if options.max_seconds is None else started + options.max_seconds
-    backend = make_backend(options.backend, net.clocks)
     k = max_constants(net, query)
     stats = SearchStats()
     invariant_cache: dict = {}
@@ -347,32 +244,30 @@ def explore(net: Network, query: Query, options: Optional[SearchOptions] = None)
         stats.seconds = time.monotonic() - started
         return ExploreResult(verdict, witness, stats, reason)
 
-    zone = init_zone(net, query.source, backend, invariant_cache)
-    if backend.is_empty(zone):
+    state = root_state(
+        net, query, ZONE_TYPES[options.backend], k, options.extrapolate, invariant_cache
+    )
+    if state is None:
         return result(Verdict.UNREACHABLE)
-    zone = _delay_close(net, backend, query.source.locations, zone, invariant_cache)
-    if options.extrapolate:
-        zone = backend.extrapolate(zone, k)
-    root = _Node(StateZone(query.source.locations, zone), None, None)
-    if is_goal(root.state, query.target, backend):
+    if is_goal(state, query.target):
         return result(Verdict.REACHABLE, witness=())
 
-    visited = _Visited(backend, options.subsumption)
-    visited.add(root.state)
+    visited = _Visited(options.subsumption)
+    visited.add(state)
     stats.stored += 1
-    worklist: deque[_Node] = deque([root])
+    worklist: deque[_Node] = deque([_Node(state, None, None)])
     while worklist:
         if deadline is not None and time.monotonic() > deadline:
             return result(Verdict.INCONCLUSIVE, reason="time limit exceeded")
         node = worklist.pop() if options.order == "dfs" else worklist.popleft()
         stats.popped += 1
-        batch = list(successors(net, node.state, backend, k, options.extrapolate, invariant_cache))
+        batch = list(successors(net, node.state, k, options.extrapolate, invariant_cache))
         if options.order == "dfs":
             # Reversed so the first-generated successor is explored first.
             batch.reverse()
         for label, succ in batch:
             child = _Node(succ, node, label)
-            if is_goal(succ, query.target, backend):
+            if is_goal(succ, query.target):
                 return result(Verdict.REACHABLE, witness=_trace(child))
             if visited.subsumed(succ):
                 continue
@@ -391,23 +286,19 @@ def replay_witness(
     source must end in a state satisfying the target."""
     if options is None:
         options = SearchOptions()
-    backend = make_backend(options.backend, net.clocks)
     k = max_constants(net, query)
     cache: dict = {}
-    zone = init_zone(net, query.source, backend, cache)
-    if backend.is_empty(zone):
+    root = root_state(net, query, ZONE_TYPES[options.backend], k, options.extrapolate, cache)
+    if root is None:
         return False
-    zone = _delay_close(net, backend, query.source.locations, zone, cache)
-    if options.extrapolate:
-        zone = backend.extrapolate(zone, k)
-    frontier = [StateZone(query.source.locations, zone)]
+    frontier = [root]
     for wanted in labels:
         frontier = [
             succ
             for state in frontier
-            for label, succ in successors(net, state, backend, k, options.extrapolate, cache)
+            for label, succ in successors(net, state, k, options.extrapolate, cache)
             if label == wanted
         ]
         if not frontier:
             return False
-    return any(is_goal(state, query.target, backend) for state in frontier)
+    return any(is_goal(state, query.target) for state in frontier)

@@ -67,6 +67,38 @@ class Formula:
     def closed_cells(self) -> Optional[tuple[int, ...]]:
         return _closed_cells(self)
 
+    # The zone surface the explorer calls, shared with ``Dbm``.  The
+    # operations stay module functions, looked up at call time.
+
+    def intersect(self, other: "Formula") -> "Formula":
+        return fm_intersect(self, other)
+
+    def reset(self, resets: Sequence[ClockId]) -> "Formula":
+        return fm_reset(self, resets)
+
+    def elapse(self) -> "Formula":
+        return fm_elapse(self)
+
+    def is_empty(self) -> bool:
+        return fm_is_empty(self)
+
+    def extrapolate(self, k: Mapping[ClockId, int]) -> "Formula":
+        return fm_extrapolate(self, k)
+
+    def includes(self, other: "Formula") -> bool:
+        """Cellwise on the tightest-bounds form, which is canonical."""
+        mine, theirs = self.closed_cells, other.closed_cells
+        if theirs is None:
+            return True
+        if mine is None:
+            return False
+        return all(o <= s for s, o in zip(mine, theirs))
+
+    @property
+    def key(self) -> Optional[tuple[int, ...]]:
+        """Hashable and canonical: equal keys mean equal zones."""
+        return self.closed_cells
+
 
 def make_formula(
     clocks: tuple[ClockId, ...], items: Iterable[LinearAtom], is_false: bool = False

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from itertools import product
 from math import lcm
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
 
 class ClockId(NamedTuple):
@@ -109,6 +111,26 @@ class Network:
 
     def initial_like(self) -> dict[ClockId, Fraction]:
         return {clock: Fraction(0) for clock in self.clocks}
+
+    # The move index, built on first use.  ``Network`` is unhashable
+    # (invariants are dicts), so it is cached on the instance.
+
+    @cached_property
+    def participants(self) -> dict[LabelId, tuple[int, ...]]:
+        """Label -> indices of the automata whose alphabet holds it."""
+        return {
+            label: tuple(i for i, aut in enumerate(self.automata) if label in aut.alphabet)
+            for label in self.labels
+        }
+
+    @cached_property
+    def outgoing(self) -> dict[tuple[int, LocationId, LabelId], tuple[Transition, ...]]:
+        """(automaton index, source, label) -> transitions, in declaration order."""
+        table: dict = {}
+        for i, aut in enumerate(self.automata):
+            for t in aut.transitions:
+                table.setdefault((i, t.source, t.label), []).append(t)
+        return {key: tuple(ts) for key, ts in table.items()}
 
 
 @dataclass(frozen=True)
@@ -294,4 +316,31 @@ def max_constants(net: Network, query: Query | None = None) -> dict[ClockId, int
 
 def automaton_of_label(net: Network, label: LabelId) -> list[int]:
     """Indices of the automata that synchronize on the label."""
-    return [i for i, aut in enumerate(net.automata) if label in aut.alphabet]
+    return list(net.participants.get(label, ()))
+
+
+def joint_moves(
+    net: Network, locations: tuple[LocationId, ...]
+) -> Iterator[tuple[LabelId, tuple[tuple[int, Transition], ...]]]:
+    """Every joint move from a location vector, in declaration order.
+
+    Labels follow the global declaration list.  A label fires when each
+    participating automaton has a transition with it from its current
+    location; every combination of those transitions is one move,
+    given as (automaton index, transition) pairs.  Guards are not
+    consulted.
+    """
+    outgoing = net.outgoing
+    for label in net.labels:
+        participants = net.participants[label]
+        if not participants:
+            continue
+        choices = []
+        for i in participants:
+            ts = outgoing.get((i, locations[i], label))
+            if ts is None:
+                break
+            choices.append(ts)
+        else:
+            for combo in product(*choices):
+                yield label, tuple(zip(participants, combo))

@@ -24,6 +24,7 @@ from .model import (
     Network,
     Query,
     Transition,
+    joint_moves,
 )
 
 Valuation = dict[ClockId, Fraction]
@@ -67,7 +68,7 @@ def sim_action(
     participants are exactly the automata whose alphabet contains the
     label, and all of them must move for the label to fire.
     """
-    participants = [i for i, aut in enumerate(net.automata) if label in aut.alphabet]
+    participants = net.participants.get(label, ())
     if set(choices) != set(participants):
         raise ValueError("choices must cover exactly the participating automata")
     new_locations = list(locations)
@@ -91,23 +92,10 @@ def enabled_actions(
     net: Network, locations: LocationVector, v: Valuation
 ) -> Iterator[tuple[LabelId, LocationVector, Valuation]]:
     """All joint moves available right now, in declaration order."""
-    for label in net.labels:
-        participants = [i for i, aut in enumerate(net.automata) if label in aut.alphabet]
-        if not participants:
-            continue
-        per_automaton = []
-        for i in participants:
-            outgoing = [
-                t
-                for t in net.automata[i].transitions
-                if t.label == label and t.source == locations[i]
-            ]
-            per_automaton.append(outgoing)
-        for combo in product(*per_automaton):
-            choices = dict(zip(participants, combo))
-            step = sim_action(net, locations, v, label, choices)
-            if step is not None:
-                yield label, step[0], step[1]
+    for label, moves in joint_moves(net, locations):
+        step = sim_action(net, locations, v, label, dict(moves))
+        if step is not None:
+            yield label, step[0], step[1]
 
 
 @dataclass(frozen=True)

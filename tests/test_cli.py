@@ -7,7 +7,7 @@ import pytest
 
 from conftest import QUERIES_PATH, TRAIN_PATH
 from zonereach import cli
-from zonereach.explorer import FormulaBackend
+from zonereach.formula import Formula
 
 INSIDE = "go(Far.Up.u0.nil/true, In.Down.u0.nil/true)"
 UNSAFE = "go(Far.Up.u0.nil/true, In.Up.u0.nil/true)"
@@ -118,6 +118,15 @@ def test_limits_give_up_with_status_3(run):
     assert code == cli.GAVE_UP and "time limit exceeded" in err
 
 
+def test_stats_line_follows_every_query_even_inconclusive(run):
+    code, out, err = run(TRAIN_PATH, "--max-zones", 2, "--stats", "--queries", QUERIES_PATH)
+    assert code == cli.GAVE_UP and err.count("zone limit exceeded") == 2
+    lines = out.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        assert re.fullmatch(r"# stats: stored=2 popped=\d+ time=\d+\.\d\ds", line)
+
+
 def test_unknown_flag_exits_like_a_missing_file(run):
     with pytest.raises(SystemExit) as exc:
         cli.main([str(TRAIN_PATH), "--what"])
@@ -143,7 +152,7 @@ def test_selftest_propagates_inconclusive(run):
 
 
 def test_selftest_flags_an_injected_backend_fault(run, monkeypatch):
-    monkeypatch.setattr(FormulaBackend, "is_empty", lambda self, zone: True)
+    monkeypatch.setattr(Formula, "is_empty", lambda self: True)
     code, out, err = run(TRAIN_PATH, "--selftest", "--query", INSIDE)
     assert code == cli.DIVERGED and out == ""
     lines = err.splitlines()

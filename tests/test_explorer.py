@@ -10,6 +10,7 @@ import pytest
 from conftest import DIVERGING_PATH, TRAIN_PATH
 from zonereach import parse_query, parse_spec
 from zonereach.bounds import INF
+from zonereach.dbm import Dbm
 from zonereach.explorer import (
     SearchOptions,
     StateZone,
@@ -17,8 +18,8 @@ from zonereach.explorer import (
     explore,
     init_zone,
     is_goal,
-    make_backend,
     replay_witness,
+    root_state,
     successors,
 )
 from zonereach.model import max_constants
@@ -70,26 +71,21 @@ def test_replay_rejects_wrong_sequences(train_net, queries):
 
 def test_first_two_successor_zones_frozen(train_net, queries):
     inside, _ = queries
-    backend = make_backend("dbm", train_net.clocks)
     k = max_constants(train_net, inside)
     cache = {}
-    zone = init_zone(train_net, inside.source, backend, cache)
+    zone = init_zone(train_net, inside.source, Dbm, cache)
     # constraint true: the initial zone is the whole orthant
-    assert zone.cells == backend.from_constraint(inside.source.constraint).cells
+    assert zone.cells == Dbm.universe(train_net.clocks).cells
 
-    from zonereach.explorer import _delay_close
-
-    zone = backend.extrapolate(_delay_close(train_net, backend, inside.source.locations, zone, cache), k)
-    root = StateZone(inside.source.locations, zone)
-
-    first = list(successors(train_net, root, backend, k, True, cache))
+    root = root_state(train_net, inside, Dbm, k, True, cache)
+    first = list(successors(train_net, root, k, True, cache))
     assert len(first) == 1
     label, state = first[0]
     assert label.name == "app" and names(state.locations) == ["Near", "Up", "u1"]
     # X = Z <= 1 (controller invariant caps the delay), Y - X >= 0
     assert state.zone.cells == (1, 1, 1, 1, 3, 1, 1, 1, INF, INF, 1, INF, 3, 1, 1, 1)
 
-    second = list(successors(train_net, state, backend, k, True, cache))
+    second = list(successors(train_net, state, k, True, cache))
     assert len(second) == 1
     label, state = second[0]
     assert label.name == "lower" and names(state.locations) == ["Near", "t1", "u0"]
@@ -99,10 +95,9 @@ def test_first_two_successor_zones_frozen(train_net, queries):
 
 def test_goal_respects_location_and_constraint(train_net, queries):
     inside, _ = queries
-    backend = make_backend("dbm", train_net.clocks)
-    universe = backend.from_constraint(inside.source.constraint)
-    assert is_goal(StateZone(inside.target.locations, universe), inside.target, backend)
-    assert not is_goal(StateZone(inside.source.locations, universe), inside.target, backend)
+    universe = Dbm.from_constraint(inside.source.constraint, train_net.clocks)
+    assert is_goal(StateZone(inside.target.locations, universe), inside.target)
+    assert not is_goal(StateZone(inside.source.locations, universe), inside.target)
 
 
 def test_source_goal_needs_no_steps(train_net):
@@ -171,4 +166,4 @@ def test_options_are_validated():
     with pytest.raises(ValueError):
         SearchOptions(subsumption="sometimes")
     with pytest.raises(ValueError):
-        make_backend("bdd", ())
+        SearchOptions(backend="bdd")

@@ -3,7 +3,9 @@ cases that motivated its less obvious design choices, and random
 cross-checks against the matrix backend (the two share no zone code).
 """
 
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from oracles import (
     random_constraint,
     reset_mask,
 )
+from zonereach import dbm, formula as formula_module
 from zonereach.bounds import INF, bound
 from zonereach.dbm import Dbm
 from zonereach.formula import (
@@ -150,6 +153,9 @@ def test_includes_and_equiv_mirror_set_semantics():
     empty2 = formula(Atom(Y, None, "<", -3))
     assert fm_equiv(empty1, empty2)
     assert fm_includes(b, empty1)
+    # the cellwise method the search uses agrees
+    assert a.includes(b) and not b.includes(a)
+    assert b.includes(empty1) and not empty1.includes(b)
 
 
 def test_closed_cells_match_the_matrix_backend():
@@ -225,3 +231,24 @@ def test_exists_order_does_not_matter():
         other = fm_exists(fm_exists(f, [b]), [a])
         joint = fm_exists(f, [a, b])
         assert fm_equiv(one, other) and fm_equiv(one, joint)
+
+
+def _imported_modules(module) -> set[str]:
+    """Absolute names of every module a source file imports from."""
+    found = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "zonereach" + (f".{base}" if base else "")
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_the_two_backends_import_nothing_from_each_other():
+    """The formula backend is an independent oracle for the matrices."""
+    assert "zonereach.dbm" not in _imported_modules(formula_module)
+    assert "zonereach.formula" not in _imported_modules(dbm)
