@@ -44,4 +44,4 @@ print(f"  {'time':>6}  {'fire':<6} {'now at':<18} [{clocks}]")
 for step in steps:
     where = ".".join(loc.name for loc in step.locations)
     values = ", ".join(str(v) for v in step.valuation)
-    print(f"  {str(step.delay):>6}  {step.label.name:<6} {where:<18} [{values}]")
+    print(f"  {str(step.time):>6}  {step.label.name:<6} {where:<18} [{values}]")

@@ -32,4 +32,4 @@ result = explore(net, query)
 print(f"with extrapolation:         {result.verdict} "
       f"(stored={result.stats.stored}, popped={result.stats.popped})")
 print("\nthe coarsening only ever grows zones, so False verdicts stay valid;")
-print("reached targets are re-confirmed by replaying the witness exactly.")
+print("a reached target can be re-confirmed with replay_witness or find_concrete_run.")

@@ -57,6 +57,8 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def _search_options(args) -> SearchOptions:
+    if args.selftest and args.witness:
+        raise ValueError("--selftest prints no witnesses; drop --witness")
     subsume = args.subsume
     extrapolate = not args.no_extrapolate
     if args.faithful:
@@ -77,7 +79,7 @@ def _search_options(args) -> SearchOptions:
 def _query_lines(args) -> list[str]:
     lines: list[str] = list(args.query)
     if args.queries is not None:
-        lines.extend(Path(args.queries).read_text().splitlines())
+        lines.extend(Path(args.queries).read_text(encoding="utf-8").splitlines())
     if not args.query and args.queries is None:
         lines.extend(sys.stdin.read().splitlines())
     cleaned = []
@@ -99,14 +101,19 @@ def _print_diagnostics(prefix: str, err: Exception) -> None:
         print(f"{prefix}: {err}", file=sys.stderr)
 
 
-def _selftest(net: Network, queries: list[tuple[str, Query]], base: SearchOptions) -> int:
+def _selftest(
+    net: Network, queries: list[tuple[str, Query]], base: SearchOptions, stats: bool
+) -> int:
     agreed = 0
     for text, query in queries:
         verdicts = {}
         for backend in ("dbm", "formula"):
             for order in ("dfs", "bfs"):
                 options = replace(base, backend=backend, order=order)
-                verdicts[(backend, order)] = explore(net, query, options).verdict
+                outcome = explore(net, query, options)
+                verdicts[(backend, order)] = outcome.verdict
+                if stats:
+                    print(f"# stats: {backend}/{order} {outcome.stats}")
         if any(v is Verdict.INCONCLUSIVE for v in verdicts.values()):
             print(f"inconclusive: {text}", file=sys.stderr)
             return GAVE_UP
@@ -129,9 +136,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return BAD_INPUT
 
     try:
-        text = Path(args.spec).read_text()
+        text = Path(args.spec).read_text(encoding="utf-8")
     except OSError as err:
         print(f"zonereach: cannot read {args.spec}: {err.strerror}", file=sys.stderr)
+        return NO_FILE
+    except UnicodeDecodeError:
+        print(f"zonereach: cannot read {args.spec}: not UTF-8 text", file=sys.stderr)
         return NO_FILE
     try:
         net = parse_spec(text)
@@ -143,6 +153,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         lines = _query_lines(args)
     except OSError as err:
         print(f"zonereach: cannot read {args.queries}: {err.strerror}", file=sys.stderr)
+        return NO_FILE
+    except UnicodeDecodeError:
+        print(f"zonereach: cannot read {args.queries}: not UTF-8 text", file=sys.stderr)
         return NO_FILE
     queries: list[tuple[str, Query]] = []
     failed = False
@@ -156,7 +169,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return BAD_INPUT
 
     if args.selftest:
-        return _selftest(net, queries, options)
+        return _selftest(net, queries, options, args.stats)
 
     status = OK
     for text, query in queries:
@@ -170,8 +183,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             steps = " ".join(label.name for label in outcome.witness)
             print(f"# witness: {steps}" if steps else "# witness: (empty)")
         if args.stats:
-            s = outcome.stats
-            print(f"# stats: stored={s.stored} popped={s.popped} time={s.seconds:.2f}s")
+            print(f"# stats: {outcome.stats}")
     return status
 
 

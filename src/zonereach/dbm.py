@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .bounds import INF, ZERO_LE, add, bound, is_strict, value
+from .bounds import INF, ZERO_LE, bound, is_strict, value
 from .model import Atom, ClockConstraint, ClockId
 
 
@@ -44,16 +44,6 @@ def _close(grid: list[int], size: int) -> bool:
     return True
 
 
-def _universe(size: int) -> list[int]:
-    # Row 0 at (0, <=) keeps every clock non-negative; everything else free.
-    grid = [INF] * (size * size)
-    for j in range(size):
-        grid[j] = ZERO_LE
-    for i in range(size):
-        grid[i * size + i] = ZERO_LE
-    return grid
-
-
 @dataclass(frozen=True)
 class Dbm:
     clocks: tuple[ClockId, ...]
@@ -64,7 +54,12 @@ class Dbm:
     @classmethod
     def universe(cls, clocks: Sequence[ClockId]) -> "Dbm":
         clocks = tuple(clocks)
-        return cls(clocks, tuple(_universe(len(clocks) + 1)))
+        size = len(clocks) + 1
+        # Row 0 at (0, <=) keeps every clock non-negative; everything else free.
+        grid = [INF] * (size * size)
+        for i in range(size):
+            grid[i] = grid[i * size + i] = ZERO_LE
+        return cls(clocks, tuple(grid))
 
     @classmethod
     def from_bounds(cls, clocks: Sequence[ClockId], grid: Iterable[int]) -> "Dbm":
@@ -80,40 +75,7 @@ class Dbm:
 
     @classmethod
     def from_constraint(cls, c: ClockConstraint, clocks: Sequence[ClockId]) -> "Dbm":
-        clocks = tuple(clocks)
-        size = len(clocks) + 1
-        index = {clock: i + 1 for i, clock in enumerate(clocks)}
-        grid = _universe(size)
-
-        def tighten(i: int, j: int, raw: int) -> None:
-            if raw < grid[i * size + j]:
-                grid[i * size + j] = raw
-
-        for atom in c.atoms:
-            if not isinstance(atom.const, int):
-                raise ValueError(f"non-integer constant {atom.const!r}; scale the network first")
-            try:
-                i = index[atom.lhs]
-                j = index[atom.rhs] if atom.rhs is not None else 0
-            except KeyError as missing:
-                raise ValueError(f"unknown clock {missing.args[0]!r}") from None
-            n = atom.const
-            if atom.op == "<":
-                tighten(i, j, bound(n, strict=True))
-            elif atom.op == "<=":
-                tighten(i, j, bound(n, strict=False))
-            elif atom.op == ">":
-                tighten(j, i, bound(-n, strict=True))
-            elif atom.op == ">=":
-                tighten(j, i, bound(-n, strict=False))
-            elif atom.op == "=":
-                tighten(i, j, bound(n, strict=False))
-                tighten(j, i, bound(-n, strict=False))
-            else:
-                raise ValueError(f"unknown operator {atom.op!r}")
-        if not _close(grid, size):
-            return cls(clocks, None)
-        return cls(clocks, tuple(grid))
+        return cls.universe(clocks).constrain(c)
 
     # -- basic queries -----------------------------------------------
 
@@ -158,9 +120,51 @@ class Dbm:
             return Dbm(self.clocks, None)
         return Dbm(self.clocks, tuple(merged))
 
+    def constrain(self, c: ClockConstraint) -> "Dbm":
+        """Intersect with a constraint: tighten a cell per atom, then
+        close once (not at all when no atom tightens anything)."""
+        if self.cells is None:
+            return self
+        size = len(self.clocks) + 1
+        index = {clock: i + 1 for i, clock in enumerate(self.clocks)}
+        grid = list(self.cells)
+
+        def tighten(i: int, j: int, raw: int) -> None:
+            if raw < grid[i * size + j]:
+                grid[i * size + j] = raw
+
+        for atom in c.atoms:
+            if not isinstance(atom.const, int):
+                raise ValueError(f"non-integer constant {atom.const!r}; scale the network first")
+            try:
+                i = index[atom.lhs]
+                j = index[atom.rhs] if atom.rhs is not None else 0
+            except KeyError as missing:
+                raise ValueError(f"unknown clock {missing.args[0]!r}") from None
+            n = atom.const
+            if atom.op == "<":
+                tighten(i, j, bound(n, strict=True))
+            elif atom.op == "<=":
+                tighten(i, j, bound(n, strict=False))
+            elif atom.op == ">":
+                tighten(j, i, bound(-n, strict=True))
+            elif atom.op == ">=":
+                tighten(j, i, bound(-n, strict=False))
+            elif atom.op == "=":
+                tighten(i, j, bound(n, strict=False))
+                tighten(j, i, bound(-n, strict=False))
+            else:
+                raise ValueError(f"unknown operator {atom.op!r}")
+        if tuple(grid) == self.cells:
+            return self
+        if not _close(grid, size):
+            return Dbm(self.clocks, None)
+        return Dbm(self.clocks, tuple(grid))
+
     def reset(self, resets: Sequence[ClockId]) -> "Dbm":
         """Set the given clocks to zero (the other dimensions keep their
-        relations, i.e. assignment, not intersection with x = 0)."""
+        relations, i.e. assignment, not intersection with x = 0); a
+        closed matrix stays closed."""
         if self.cells is None:
             return self
         size = len(self.clocks) + 1
@@ -171,8 +175,6 @@ class Dbm:
                 grid[r * size + j] = grid[j]          # row 0 entry (0 - xj)
                 grid[j * size + r] = grid[j * size]   # column 0 entry (xj - 0)
             grid[r * size + r] = ZERO_LE
-        if not _close(grid, size):  # resets keep closure; belt and braces
-            return Dbm(self.clocks, None)
         return Dbm(self.clocks, tuple(grid))
 
     def elapse(self) -> "Dbm":

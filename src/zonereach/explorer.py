@@ -8,11 +8,13 @@ computed per label: the automata listing the label in their alphabet
 all move (every combination of their enabled transitions), the rest
 stay.  The zone pipeline per combination is
 
-    guards -> reset -> target invariants -> elapse -> target
-    invariants -> extrapolation
+    constrain by the guards -> reset -> constrain by the target
+    invariants -> elapse -> constrain by the target invariants ->
+    extrapolation
 
-where the double invariant intersection is exact because invariants
-are convex.
+where the double invariant constraint is exact because invariants
+are convex.  Guards, invariants and goal constraints are applied to
+the zone directly with ``constrain``; no zone is built for them.
 
 The search is a plain worklist (LIFO or FIFO).  Each new state is
 goal-tested before the visited check, so a goal is reported even when
@@ -47,8 +49,9 @@ from .model import (
 LocationVector = tuple[LocationId, ...]
 
 # Both zone types offer the same surface: ``from_constraint(c, clocks)``,
-# ``intersect``, ``reset``, ``elapse``, ``is_empty``, ``includes``,
-# ``extrapolate`` and a hashable canonical ``key``.
+# ``constrain`` (intersection with a constraint), ``reset``, ``elapse``,
+# ``is_empty``, ``includes``, ``extrapolate`` and a hashable canonical
+# ``key``.
 Zone = Union[Dbm, Formula]
 ZONE_TYPES: dict[str, type] = {"dbm": Dbm, "formula": Formula}
 
@@ -84,6 +87,10 @@ class SearchOptions:
             raise ValueError(f"unknown order {self.order!r}")
         if self.subsumption not in ("include", "equal"):
             raise ValueError(f"unknown subsumption mode {self.subsumption!r}")
+        if self.max_zones is not None and self.max_zones < 0:
+            raise ValueError(f"negative zone limit {self.max_zones}")
+        if self.max_seconds is not None and self.max_seconds < 0:
+            raise ValueError(f"negative time limit {self.max_seconds}")
 
 
 @dataclass
@@ -91,6 +98,9 @@ class SearchStats:
     stored: int = 0
     popped: int = 0
     seconds: float = 0.0
+
+    def __str__(self) -> str:
+        return f"stored={self.stored} popped={self.popped} time={self.seconds:.2f}s"
 
 
 @dataclass
@@ -101,57 +111,37 @@ class ExploreResult:
     reason: Optional[str] = None
 
 
-def _invariant_zone(net: Network, zone_type: type, vector: LocationVector, cache: dict) -> Zone:
-    zone = cache.get(vector)
-    if zone is None:
-        atoms = []
-        for aut, loc in zip(net.automata, vector):
-            atoms.extend(aut.invariants[loc].atoms)
-        zone = zone_type.from_constraint(ClockConstraint(tuple(atoms)), net.clocks)
-        cache[vector] = zone
-    return zone
+def _invariant(net: Network, vector: LocationVector) -> ClockConstraint:
+    """The conjunction of the invariants of a location vector."""
+    return ClockConstraint(
+        tuple(atom for aut, loc in zip(net.automata, vector) for atom in aut.invariants[loc].atoms)
+    )
 
 
-def init_zone(net: Network, source: StatePattern, zone_type: type, cache: dict) -> Zone:
+def init_zone(net: Network, source: StatePattern, zone_type: type) -> Zone:
     """Source constraint restricted to the source invariants, before delay."""
     zone = zone_type.from_constraint(source.constraint, net.clocks)
-    return zone.intersect(_invariant_zone(net, zone_type, source.locations, cache))
-
-
-def _delay_close(net: Network, vector: LocationVector, zone: Zone, cache: dict) -> Zone:
-    return zone.elapse().intersect(_invariant_zone(net, type(zone), vector, cache))
+    return zone.constrain(_invariant(net, source.locations))
 
 
 def root_state(
-    net: Network,
-    query: Query,
-    zone_type: type,
-    k: Mapping[ClockId, int],
-    extrapolate: bool,
-    invariant_cache: dict,
+    net: Network, query: Query, zone_type: type, k: Mapping[ClockId, int], extrapolate: bool
 ) -> Optional[StateZone]:
     """The stored form of the source state, None when the source is empty."""
-    zone = init_zone(net, query.source, zone_type, invariant_cache)
+    zone = init_zone(net, query.source, zone_type)
     if zone.is_empty():
         return None
-    zone = _delay_close(net, query.source.locations, zone, invariant_cache)
+    zone = zone.elapse().constrain(_invariant(net, query.source.locations))
     if extrapolate:
         zone = zone.extrapolate(k)
     return StateZone(query.source.locations, zone)
 
 
 def successors(
-    net: Network,
-    state: StateZone,
-    k: Mapping[ClockId, int],
-    extrapolate: bool = True,
-    invariant_cache: Optional[dict] = None,
+    net: Network, state: StateZone, k: Mapping[ClockId, int], extrapolate: bool = True
 ) -> Iterator[tuple[LabelId, StateZone]]:
     """All label moves from a state, in the declaration order of
     ``model.joint_moves``."""
-    if invariant_cache is None:
-        invariant_cache = {}
-    zone_type = type(state.zone)
     for label, moves in joint_moves(net, state.locations):
         guard_atoms = []
         resets: list[ClockId] = []
@@ -161,16 +151,14 @@ def successors(
             resets.extend(c for c in t.resets if c not in resets)
             vector[i] = t.target
         vector = tuple(vector)
-        zone = state.zone.intersect(
-            zone_type.from_constraint(ClockConstraint(tuple(guard_atoms)), net.clocks)
-        )
+        zone = state.zone.constrain(ClockConstraint(tuple(guard_atoms)))
         if zone.is_empty():
             continue
-        zone = zone.reset(resets)
-        zone = zone.intersect(_invariant_zone(net, zone_type, vector, invariant_cache))
+        invariant = _invariant(net, vector)
+        zone = zone.reset(resets).constrain(invariant)
         if zone.is_empty():
             continue
-        zone = _delay_close(net, vector, zone, invariant_cache)
+        zone = zone.elapse().constrain(invariant)
         if extrapolate:
             zone = zone.extrapolate(k)
         yield label, StateZone(vector, zone)
@@ -180,8 +168,7 @@ def is_goal(state: StateZone, target: StatePattern) -> bool:
     """Exact location match plus non-empty overlap with the constraint."""
     if state.locations != target.locations:
         return False
-    zone = state.zone
-    return not zone.intersect(type(zone).from_constraint(target.constraint, zone.clocks)).is_empty()
+    return not state.zone.constrain(target.constraint).is_empty()
 
 
 class _Visited:
@@ -238,15 +225,12 @@ def explore(net: Network, query: Query, options: Optional[SearchOptions] = None)
     deadline = None if options.max_seconds is None else started + options.max_seconds
     k = max_constants(net, query)
     stats = SearchStats()
-    invariant_cache: dict = {}
 
     def result(verdict, witness=None, reason=None):
         stats.seconds = time.monotonic() - started
         return ExploreResult(verdict, witness, stats, reason)
 
-    state = root_state(
-        net, query, ZONE_TYPES[options.backend], k, options.extrapolate, invariant_cache
-    )
+    state = root_state(net, query, ZONE_TYPES[options.backend], k, options.extrapolate)
     if state is None:
         return result(Verdict.UNREACHABLE)
     if is_goal(state, query.target):
@@ -261,7 +245,7 @@ def explore(net: Network, query: Query, options: Optional[SearchOptions] = None)
             return result(Verdict.INCONCLUSIVE, reason="time limit exceeded")
         node = worklist.pop() if options.order == "dfs" else worklist.popleft()
         stats.popped += 1
-        batch = list(successors(net, node.state, k, options.extrapolate, invariant_cache))
+        batch = list(successors(net, node.state, k, options.extrapolate))
         if options.order == "dfs":
             # Reversed so the first-generated successor is explored first.
             batch.reverse()
@@ -287,8 +271,7 @@ def replay_witness(
     if options is None:
         options = SearchOptions()
     k = max_constants(net, query)
-    cache: dict = {}
-    root = root_state(net, query, ZONE_TYPES[options.backend], k, options.extrapolate, cache)
+    root = root_state(net, query, ZONE_TYPES[options.backend], k, options.extrapolate)
     if root is None:
         return False
     frontier = [root]
@@ -296,7 +279,7 @@ def replay_witness(
         frontier = [
             succ
             for state in frontier
-            for label, succ in successors(net, state, k, options.extrapolate, cache)
+            for label, succ in successors(net, state, k, options.extrapolate)
             if label == wanted
         ]
         if not frontier:

@@ -70,8 +70,8 @@ class Formula:
     # The zone surface the explorer calls, shared with ``Dbm``.  The
     # operations stay module functions, looked up at call time.
 
-    def intersect(self, other: "Formula") -> "Formula":
-        return fm_intersect(self, other)
+    def constrain(self, c: ClockConstraint) -> "Formula":
+        return fm_intersect(self, Formula.from_constraint(c, self.clocks))
 
     def reset(self, resets: Sequence[ClockId]) -> "Formula":
         return fm_reset(self, resets)

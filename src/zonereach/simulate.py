@@ -184,7 +184,7 @@ def sim_reach_oracle(
 
 @dataclass(frozen=True)
 class ConcreteStep:
-    delay: Fraction
+    time: Fraction  # absolute time at which the label fires
     label: LabelId
     locations: LocationVector
     valuation: tuple[Fraction, ...]

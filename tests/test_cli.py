@@ -97,6 +97,22 @@ def test_bad_query_reports_and_fails(run):
     assert "go(oops" in err
 
 
+def test_spec_that_is_not_utf8(run, tmp_path):
+    bad = tmp_path / "utf16.ta"
+    bad.write_bytes(b"\xff\xfen\x00e\x00t\x00")
+    code, out, err = run(bad, "--query", INSIDE)
+    assert code == cli.NO_FILE and out == ""
+    assert err == f"zonereach: cannot read {bad}: not UTF-8 text\n"
+
+
+def test_query_file_that_is_not_utf8(run, tmp_path):
+    bad = tmp_path / "queries.txt"
+    bad.write_bytes(b"\xff\xfeg\x00o\x00")
+    code, out, err = run(TRAIN_PATH, "--queries", bad)
+    assert code == cli.NO_FILE and out == ""
+    assert err == f"zonereach: cannot read {bad}: not UTF-8 text\n"
+
+
 def test_faithful_refuses_inclusion_pruning(run):
     code, _, err = run(TRAIN_PATH, "--faithful", "--subsume", "include", "--query", INSIDE)
     assert code == cli.BAD_INPUT
@@ -118,6 +134,13 @@ def test_limits_give_up_with_status_3(run):
     assert code == cli.GAVE_UP and "time limit exceeded" in err
 
 
+def test_negative_limits_are_rejected(run):
+    code, out, err = run(TRAIN_PATH, "--max-zones", -3, "--query", UNSAFE)
+    assert code == cli.BAD_INPUT and out == "" and "negative zone limit" in err
+    code, out, err = run(TRAIN_PATH, "--timeout", -1, "--query", UNSAFE)
+    assert code == cli.BAD_INPUT and out == "" and "negative time limit" in err
+
+
 def test_stats_line_follows_every_query_even_inconclusive(run):
     code, out, err = run(TRAIN_PATH, "--max-zones", 2, "--stats", "--queries", QUERIES_PATH)
     assert code == cli.GAVE_UP and err.count("zone limit exceeded") == 2
@@ -137,6 +160,23 @@ def test_selftest_reports_agreement(run):
     code, out, err = run(TRAIN_PATH, "--selftest", "--queries", QUERIES_PATH)
     assert code == cli.OK and err == ""
     assert out == "agree: 2/2\n"
+
+
+def test_selftest_prints_a_stats_line_per_search(run):
+    code, out, err = run(TRAIN_PATH, "--selftest", "--stats", "--queries", QUERIES_PATH)
+    assert code == cli.OK and err == ""
+    lines = out.splitlines()
+    assert lines[-1] == "agree: 2/2"
+    configs = [re.fullmatch(r"# stats: (\w+/\w+) stored=\d+ popped=\d+ time=\d+\.\d\ds", line)
+               for line in lines[:-1]]
+    assert all(configs)
+    assert [m.group(1) for m in configs] == ["dbm/dfs", "dbm/bfs", "formula/dfs", "formula/bfs"] * 2
+
+
+def test_selftest_refuses_witness(run):
+    code, out, err = run(TRAIN_PATH, "--selftest", "--witness", "--queries", QUERIES_PATH)
+    assert code == cli.BAD_INPUT and out == ""
+    assert "--witness" in err
 
 
 def test_selftest_with_no_queries(run, monkeypatch):

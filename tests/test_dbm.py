@@ -184,6 +184,16 @@ def test_reset_composes_clock_by_clock():
         joint = z.reset(pair)
         assert joint.cells == z.reset([pair[0]]).reset([pair[1]]).cells
         assert joint.cells == z.reset([pair[1]]).reset([pair[0]]).cells
+        assert joint.canonicalize().cells == joint.cells  # reset keeps closure
+
+
+def test_constrain_is_intersection_with_the_constraint_zone():
+    rng = random.Random(31)
+    for _ in range(200):
+        clocks = make_clocks(rng.randint(1, 4))
+        z = random_zone(rng, clocks)
+        c = random_constraint(rng, clocks, max_atoms=3)
+        assert z.constrain(c).cells == z.intersect(Dbm.from_constraint(c, clocks)).cells
 
 
 def test_eliminate_commutes():

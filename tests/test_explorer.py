@@ -72,20 +72,19 @@ def test_replay_rejects_wrong_sequences(train_net, queries):
 def test_first_two_successor_zones_frozen(train_net, queries):
     inside, _ = queries
     k = max_constants(train_net, inside)
-    cache = {}
-    zone = init_zone(train_net, inside.source, Dbm, cache)
+    zone = init_zone(train_net, inside.source, Dbm)
     # constraint true: the initial zone is the whole orthant
     assert zone.cells == Dbm.universe(train_net.clocks).cells
 
-    root = root_state(train_net, inside, Dbm, k, True, cache)
-    first = list(successors(train_net, root, k, True, cache))
+    root = root_state(train_net, inside, Dbm, k, True)
+    first = list(successors(train_net, root, k, True))
     assert len(first) == 1
     label, state = first[0]
     assert label.name == "app" and names(state.locations) == ["Near", "Up", "u1"]
     # X = Z <= 1 (controller invariant caps the delay), Y - X >= 0
     assert state.zone.cells == (1, 1, 1, 1, 3, 1, 1, 1, INF, INF, 1, INF, 3, 1, 1, 1)
 
-    second = list(successors(train_net, state, k, True, cache))
+    second = list(successors(train_net, state, k, True))
     assert len(second) == 1
     label, state = second[0]
     assert label.name == "lower" and names(state.locations) == ["Near", "t1", "u0"]
@@ -167,3 +166,8 @@ def test_options_are_validated():
         SearchOptions(subsumption="sometimes")
     with pytest.raises(ValueError):
         SearchOptions(backend="bdd")
+    with pytest.raises(ValueError):
+        SearchOptions(max_zones=-1)
+    with pytest.raises(ValueError):
+        SearchOptions(max_seconds=-0.5)
+    SearchOptions(max_zones=0, max_seconds=0.0)  # zero limits stay valid

@@ -181,11 +181,14 @@ def test_pipeline_cross_check_against_matrices():
         f = Formula.from_constraint(c, clocks)
         z = Dbm.from_constraint(c, clocks)
         for _ in range(rng.randint(1, 5)):
-            op = rng.randrange(4)
+            op = rng.randrange(5)
             if op == 0:
                 other = random_constraint(rng, clocks, max_atoms=3)
                 f = fm_intersect(f, Formula.from_constraint(other, clocks))
                 z = z.intersect(Dbm.from_constraint(other, clocks))
+            elif op == 4:
+                other = random_constraint(rng, clocks, max_atoms=3)
+                f, z = f.constrain(other), z.constrain(other)
             elif op == 1:
                 f, z = fm_elapse(f), z.elapse()
             elif op == 2:

@@ -127,10 +127,10 @@ def test_find_concrete_run_checks_out_step_by_step(train_net):
     valuation = train_net.initial_like()
     now = Fraction(0)
     for step in run:
-        assert step.delay >= now
-        valuation = sim_delay(train_net, state, valuation, step.delay - now)
+        assert step.time >= now
+        valuation = sim_delay(train_net, state, valuation, step.time - now)
         assert valuation is not None
-        now = step.delay
+        now = step.time
         moves = [
             (vec, after)
             for label, vec, after in enabled_actions(train_net, state, valuation)
