@@ -33,12 +33,10 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="network specification file")
     p.add_argument("--backend", choices=("dbm", "formula"), default="dbm")
     p.add_argument("--order", choices=("dfs", "bfs"), default="dfs")
-    p.add_argument("--subsume", choices=("equal", "include"), default=None,
+    p.add_argument("--subsume", choices=("equal", "include"), default="include",
                    help="visited-state pruning (default: include)")
     p.add_argument("--no-extrapolate", action="store_true",
                    help="disable maximum-constant coarsening (termination not guaranteed)")
-    p.add_argument("--faithful", action="store_true",
-                   help="equality pruning and no coarsening")
     p.add_argument("--stats", action="store_true", help="print a stats line per query")
     p.add_argument("--witness", action="store_true",
                    help="print the label sequence for reachable targets")
@@ -59,18 +57,11 @@ def _build_argparser() -> argparse.ArgumentParser:
 def _search_options(args) -> SearchOptions:
     if args.selftest and args.witness:
         raise ValueError("--selftest prints no witnesses; drop --witness")
-    subsume = args.subsume
-    extrapolate = not args.no_extrapolate
-    if args.faithful:
-        if subsume == "include":
-            raise ValueError("--faithful requires equality pruning; drop --subsume include")
-        subsume = "equal"
-        extrapolate = False
     return SearchOptions(
         backend=args.backend,
         order=args.order,
-        subsumption=subsume or "include",
-        extrapolate=extrapolate,
+        subsumption=args.subsume,
+        extrapolate=not args.no_extrapolate,
         max_zones=args.max_zones,
         max_seconds=args.timeout,
     )

@@ -104,6 +104,16 @@ class Dbm:
             return self
         return Dbm.from_bounds(self.clocks, self.cells)
 
+    def _closed(self, grid: list[int]) -> "Dbm":
+        """The zone an edited copy of this zone's cells describes: this
+        zone itself when no cell changed (it is canonical already), else
+        the closed grid, or the empty marker when it is inconsistent."""
+        if tuple(grid) == self.cells:
+            return self
+        if not _close(grid, len(self.clocks) + 1):
+            return Dbm(self.clocks, None)
+        return Dbm(self.clocks, tuple(grid))
+
     def _require_same_clocks(self, other: "Dbm") -> None:
         if self.clocks != other.clocks:
             raise ValueError("zones over different clock lists")
@@ -114,11 +124,7 @@ class Dbm:
         self._require_same_clocks(other)
         if self.cells is None or other.cells is None:
             return Dbm(self.clocks, None)
-        merged = [min(a, b) for a, b in zip(self.cells, other.cells)]
-        size = len(self.clocks) + 1
-        if not _close(merged, size):
-            return Dbm(self.clocks, None)
-        return Dbm(self.clocks, tuple(merged))
+        return self._closed([min(a, b) for a, b in zip(self.cells, other.cells)])
 
     def constrain(self, c: ClockConstraint) -> "Dbm":
         """Intersect with a constraint: tighten a cell per atom, then
@@ -126,7 +132,6 @@ class Dbm:
         if self.cells is None:
             return self
         size = len(self.clocks) + 1
-        index = {clock: i + 1 for i, clock in enumerate(self.clocks)}
         grid = list(self.cells)
 
         def tighten(i: int, j: int, raw: int) -> None:
@@ -136,11 +141,8 @@ class Dbm:
         for atom in c.atoms:
             if not isinstance(atom.const, int):
                 raise ValueError(f"non-integer constant {atom.const!r}; scale the network first")
-            try:
-                i = index[atom.lhs]
-                j = index[atom.rhs] if atom.rhs is not None else 0
-            except KeyError as missing:
-                raise ValueError(f"unknown clock {missing.args[0]!r}") from None
+            i = self._index(atom.lhs)
+            j = self._index(atom.rhs) if atom.rhs is not None else 0
             n = atom.const
             if atom.op == "<":
                 tighten(i, j, bound(n, strict=True))
@@ -155,11 +157,7 @@ class Dbm:
                 tighten(j, i, bound(-n, strict=False))
             else:
                 raise ValueError(f"unknown operator {atom.op!r}")
-        if tuple(grid) == self.cells:
-            return self
-        if not _close(grid, size):
-            return Dbm(self.clocks, None)
-        return Dbm(self.clocks, tuple(grid))
+        return self._closed(grid)
 
     def reset(self, resets: Sequence[ClockId]) -> "Dbm":
         """Set the given clocks to zero (the other dimensions keep their
@@ -200,17 +198,14 @@ class Dbm:
             return False
         return all(o <= s for s, o in zip(self.cells, other.cells))
 
-    def is_equivalent(self, other: "Dbm") -> bool:
-        self._require_same_clocks(other)
-        return self.cells == other.cells
-
     def extrapolate(self, k: Mapping[ClockId, int]) -> "Dbm":
         """Coarsen beyond the per-clock maximum constants.
 
         Upper bounds above k(xi) become unbounded and lower bounds below
         -k(xj) are clamped to strictly-beyond-k(xj); the result is
-        re-closed.  Zones that only differ beyond the constants collapse
-        to the same matrix, which is what makes exploration finite.
+        re-closed when a cell changed.  Zones that only differ beyond the
+        constants collapse to the same matrix, which is what makes
+        exploration finite.
         """
         if self.cells is None:
             return self
@@ -228,8 +223,7 @@ class Dbm:
                     grid[i * size + j] = INF
                 elif j > 0 and value(raw) < -limit[j]:
                     grid[i * size + j] = bound(-limit[j], strict=True)
-        _close(grid, size)  # widening a non-empty zone cannot empty it
-        return Dbm(self.clocks, tuple(grid))
+        return self._closed(grid)
 
     def eliminate(self, clock: ClockId) -> "Dbm":
         """Existentially quantify one clock.

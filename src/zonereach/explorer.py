@@ -6,26 +6,30 @@ time pass within the current invariants; the goal test on a stored
 zone therefore already accounts for a trailing delay.  Successors are
 computed per label: the automata listing the label in their alphabet
 all move (every combination of their enabled transitions), the rest
-stay.  The zone pipeline per combination is
+stay.  Per combination the zone is constrained by the guards and
+reset, and then enters the target vector.  Entering a vector is one
+step, the same for the source zone and for every successor:
 
-    constrain by the guards -> reset -> constrain by the target
-    invariants -> elapse -> constrain by the target invariants ->
-    extrapolation
+    constrain by the invariants -> elapse -> constrain by the
+    invariants -> extrapolation past the maximum constants ``k``
 
 where the double invariant constraint is exact because invariants
-are convex.  Guards, invariants and goal constraints are applied to
-the zone directly with ``constrain``; no zone is built for them.
+are convex, and ``k`` None means exact zones, with no extrapolation.
+Guards, invariants and goal constraints are applied to the zone
+directly with ``constrain``; no zone is built for them.
 
-The search is a plain worklist (LIFO or FIFO).  Each new state is
-goal-tested before the visited check, so a goal is reported even when
-the state would have been pruned.  Visited states are pruned either by
-zone equality or by inclusion in an already-stored zone; with
-extrapolation switched on the zone lattice per location vector is
-finite and the search terminates.
+The search is a plain worklist (LIFO or FIFO).  Every new state, the
+source state included, is goal-tested before the visited check, so a
+goal is reported even when the state would have been pruned; then it
+is pruned, checked against the zone limit and stored.  Visited states
+are pruned either by zone equality or by inclusion in an
+already-stored zone; with extrapolation switched on the zone lattice
+per location vector is finite and the search terminates.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -91,6 +95,8 @@ class SearchOptions:
             raise ValueError(f"negative zone limit {self.max_zones}")
         if self.max_seconds is not None and self.max_seconds < 0:
             raise ValueError(f"negative time limit {self.max_seconds}")
+        if self.max_seconds is not None and math.isnan(self.max_seconds):
+            raise ValueError(f"time limit {self.max_seconds} is not a number")
 
 
 @dataclass
@@ -118,30 +124,38 @@ def _invariant(net: Network, vector: LocationVector) -> ClockConstraint:
     )
 
 
-def init_zone(net: Network, source: StatePattern, zone_type: type) -> Zone:
-    """Source constraint restricted to the source invariants, before delay."""
-    zone = zone_type.from_constraint(source.constraint, net.clocks)
-    return zone.constrain(_invariant(net, source.locations))
+def _enter(
+    net: Network, vector: LocationVector, zone: Zone, k: Optional[Mapping[ClockId, int]]
+) -> Optional[StateZone]:
+    """The stored state of a zone entering a location vector: the zone
+    constrained by the vector's invariant, delayed within it, and widened
+    past ``k`` unless ``k`` is None; None when the invariant leaves
+    nothing."""
+    invariant = _invariant(net, vector)
+    zone = zone.constrain(invariant)
+    if zone.is_empty():
+        return None
+    zone = zone.elapse().constrain(invariant)
+    if k is not None:
+        zone = zone.extrapolate(k)
+    return StateZone(vector, zone)
 
 
 def root_state(
-    net: Network, query: Query, zone_type: type, k: Mapping[ClockId, int], extrapolate: bool
+    net: Network, query: Query, zone_type: type, k: Optional[Mapping[ClockId, int]]
 ) -> Optional[StateZone]:
-    """The stored form of the source state, None when the source is empty."""
-    zone = init_zone(net, query.source, zone_type)
-    if zone.is_empty():
-        return None
-    zone = zone.elapse().constrain(_invariant(net, query.source.locations))
-    if extrapolate:
-        zone = zone.extrapolate(k)
-    return StateZone(query.source.locations, zone)
+    """The stored form of the source state, None when the source is empty.
+    ``k`` None means exact zones, with no extrapolation."""
+    zone = zone_type.from_constraint(query.source.constraint, net.clocks)
+    return _enter(net, query.source.locations, zone, k)
 
 
 def successors(
-    net: Network, state: StateZone, k: Mapping[ClockId, int], extrapolate: bool = True
+    net: Network, state: StateZone, k: Optional[Mapping[ClockId, int]]
 ) -> Iterator[tuple[LabelId, StateZone]]:
     """All label moves from a state, in the declaration order of
-    ``model.joint_moves``."""
+    ``model.joint_moves``.  ``k`` None means exact zones, with no
+    extrapolation."""
     for label, moves in joint_moves(net, state.locations):
         guard_atoms = []
         resets: list[ClockId] = []
@@ -150,18 +164,12 @@ def successors(
             guard_atoms.extend(t.guard.atoms)
             resets.extend(c for c in t.resets if c not in resets)
             vector[i] = t.target
-        vector = tuple(vector)
         zone = state.zone.constrain(ClockConstraint(tuple(guard_atoms)))
         if zone.is_empty():
             continue
-        invariant = _invariant(net, vector)
-        zone = zone.reset(resets).constrain(invariant)
-        if zone.is_empty():
-            continue
-        zone = zone.elapse().constrain(invariant)
-        if extrapolate:
-            zone = zone.extrapolate(k)
-        yield label, StateZone(vector, zone)
+        succ = _enter(net, tuple(vector), zone.reset(resets), k)
+        if succ is not None:
+            yield label, succ
 
 
 def is_goal(state: StateZone, target: StatePattern) -> bool:
@@ -178,7 +186,6 @@ class _Visited:
         self.mode = mode
         self.keys: set = set()
         self.zones: dict[LocationVector, list] = {}
-        self.count = 0
 
     def subsumed(self, state: StateZone) -> bool:
         if self.mode == "equal":
@@ -189,7 +196,6 @@ class _Visited:
         return any(old.includes(state.zone) for old in bucket)
 
     def add(self, state: StateZone) -> None:
-        self.count += 1
         if self.mode == "equal":
             self.keys.add((state.locations, state.zone.key))
         else:
@@ -223,44 +229,41 @@ def explore(net: Network, query: Query, options: Optional[SearchOptions] = None)
         options = SearchOptions()
     started = time.monotonic()
     deadline = None if options.max_seconds is None else started + options.max_seconds
-    k = max_constants(net, query)
+    k = max_constants(net, query) if options.extrapolate else None
     stats = SearchStats()
 
     def result(verdict, witness=None, reason=None):
         stats.seconds = time.monotonic() - started
         return ExploreResult(verdict, witness, stats, reason)
 
-    state = root_state(net, query, ZONE_TYPES[options.backend], k, options.extrapolate)
-    if state is None:
+    root = root_state(net, query, ZONE_TYPES[options.backend], k)
+    if root is None:
         return result(Verdict.UNREACHABLE)
-    if is_goal(state, query.target):
-        return result(Verdict.REACHABLE, witness=())
-
     visited = _Visited(options.subsumption)
-    visited.add(state)
-    stats.stored += 1
-    worklist: deque[_Node] = deque([_Node(state, None, None)])
-    while worklist:
-        if deadline is not None and time.monotonic() > deadline:
-            return result(Verdict.INCONCLUSIVE, reason="time limit exceeded")
-        node = worklist.pop() if options.order == "dfs" else worklist.popleft()
-        stats.popped += 1
-        batch = list(successors(net, node.state, k, options.extrapolate))
-        if options.order == "dfs":
-            # Reversed so the first-generated successor is explored first.
-            batch.reverse()
+    worklist: deque[_Node] = deque()
+    node, batch = None, [(None, root)]  # the root is offered like any successor
+    while True:
         for label, succ in batch:
             child = _Node(succ, node, label)
             if is_goal(succ, query.target):
                 return result(Verdict.REACHABLE, witness=_trace(child))
             if visited.subsumed(succ):
                 continue
-            if options.max_zones is not None and visited.count >= options.max_zones:
+            if options.max_zones is not None and stats.stored >= options.max_zones:
                 return result(Verdict.INCONCLUSIVE, reason="zone limit exceeded")
             visited.add(succ)
             stats.stored += 1
             worklist.append(child)
-    return result(Verdict.UNREACHABLE)
+        if not worklist:
+            return result(Verdict.UNREACHABLE)
+        if deadline is not None and time.monotonic() > deadline:
+            return result(Verdict.INCONCLUSIVE, reason="time limit exceeded")
+        node = worklist.pop() if options.order == "dfs" else worklist.popleft()
+        stats.popped += 1
+        batch = list(successors(net, node.state, k))
+        if options.order == "dfs":
+            # Reversed so the first-generated successor is explored first.
+            batch.reverse()
 
 
 def replay_witness(
@@ -270,8 +273,8 @@ def replay_witness(
     source must end in a state satisfying the target."""
     if options is None:
         options = SearchOptions()
-    k = max_constants(net, query)
-    root = root_state(net, query, ZONE_TYPES[options.backend], k, options.extrapolate)
+    k = max_constants(net, query) if options.extrapolate else None
+    root = root_state(net, query, ZONE_TYPES[options.backend], k)
     if root is None:
         return False
     frontier = [root]
@@ -279,7 +282,7 @@ def replay_witness(
         frontier = [
             succ
             for state in frontier
-            for label, succ in successors(net, state, k, options.extrapolate)
+            for label, succ in successors(net, state, k)
             if label == wanted
         ]
         if not frontier:

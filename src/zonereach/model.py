@@ -314,11 +314,6 @@ def max_constants(net: Network, query: Query | None = None) -> dict[ClockId, int
     return k
 
 
-def automaton_of_label(net: Network, label: LabelId) -> list[int]:
-    """Indices of the automata that synchronize on the label."""
-    return list(net.participants.get(label, ()))
-
-
 def joint_moves(
     net: Network, locations: tuple[LocationId, ...]
 ) -> Iterator[tuple[LabelId, tuple[tuple[int, Transition], ...]]]:

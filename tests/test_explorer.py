@@ -16,7 +16,6 @@ from zonereach.explorer import (
     StateZone,
     Verdict,
     explore,
-    init_zone,
     is_goal,
     replay_witness,
     root_state,
@@ -72,24 +71,43 @@ def test_replay_rejects_wrong_sequences(train_net, queries):
 def test_first_two_successor_zones_frozen(train_net, queries):
     inside, _ = queries
     k = max_constants(train_net, inside)
-    zone = init_zone(train_net, inside.source, Dbm)
-    # constraint true: the initial zone is the whole orthant
-    assert zone.cells == Dbm.universe(train_net.clocks).cells
+    root = root_state(train_net, inside, Dbm, k)
+    # constraint true and no source invariant: the root zone is the whole orthant
+    assert root.zone.cells == Dbm.universe(train_net.clocks).cells
 
-    root = root_state(train_net, inside, Dbm, k, True)
-    first = list(successors(train_net, root, k, True))
+    first = list(successors(train_net, root, k))
     assert len(first) == 1
     label, state = first[0]
     assert label.name == "app" and names(state.locations) == ["Near", "Up", "u1"]
     # X = Z <= 1 (controller invariant caps the delay), Y - X >= 0
     assert state.zone.cells == (1, 1, 1, 1, 3, 1, 1, 1, INF, INF, 1, INF, 3, 1, 1, 1)
 
-    second = list(successors(train_net, state, k, True))
+    second = list(successors(train_net, state, k))
     assert len(second) == 1
     label, state = second[0]
     assert label.name == "lower" and names(state.locations) == ["Near", "t1", "u0"]
     # lower fires exactly at Z = 1 and resets Y: X - Y = 1, X in [1, 2]
     assert state.zone.cells == (1, -1, 1, -1, 5, 1, 3, 1, 3, -1, 1, -1, 5, 1, 3, 1)
+
+
+def test_exact_successors_follow_the_unwidened_pipeline(diverging_net):
+    q = parse_query("go(s0.nil/x=0 ^ y=0 ^ true, s0.nil/x-y>0 ^ true)", diverging_net)
+    k = max_constants(diverging_net, q)
+    (aut,) = diverging_net.automata
+    (tick,) = aut.transitions
+    invariant = aut.invariants[tick.target]
+    state = root_state(diverging_net, q, Dbm, None)
+    for _ in range(3):
+        ((_, exact),) = successors(diverging_net, state, None)
+        ((_, widened),) = successors(diverging_net, state, k)
+        pipeline = (
+            state.zone.constrain(tick.guard).reset(tick.resets)
+            .constrain(invariant).elapse().constrain(invariant)
+        )
+        assert exact.zone.cells == pipeline.cells
+        # y - x grows by one per tick; only the widened zone forgets it
+        assert widened.zone.cells == pipeline.extrapolate(k).cells != pipeline.cells
+        state = exact
 
 
 def test_goal_respects_location_and_constraint(train_net, queries):
@@ -101,8 +119,10 @@ def test_goal_respects_location_and_constraint(train_net, queries):
 
 def test_source_goal_needs_no_steps(train_net):
     q = parse_query("go(Far.Up.u0.nil/true, Far.Up.u0.nil/X>100 ^ true)", train_net)
-    result = explore(train_net, q)
-    assert result.verdict is Verdict.REACHABLE and result.witness == ()
+    for options in (SearchOptions(), SearchOptions(max_zones=0)):
+        result = explore(train_net, q, options)
+        assert result.verdict is Verdict.REACHABLE and result.witness == ()
+        assert result.stats.stored == 0  # found before anything is stored
 
 
 def test_unsatisfiable_source_is_unreachable(train_net):
@@ -135,6 +155,9 @@ def test_resource_limits_are_inconclusive_not_wrong(train_net, queries):
     assert timed.reason == "time limit exceeded"
     # a goal found before the cap bites still wins
     assert explore(train_net, inside, SearchOptions(max_zones=5)).verdict is Verdict.REACHABLE
+    # the limit holds for the root too: no zone at all may be stored
+    nothing = explore(train_net, unsafe, SearchOptions(max_zones=0))
+    assert nothing.verdict is Verdict.INCONCLUSIVE and nothing.stats.stored == 0
 
 
 def test_divergence_needs_extrapolation(diverging_net):
@@ -170,4 +193,7 @@ def test_options_are_validated():
         SearchOptions(max_zones=-1)
     with pytest.raises(ValueError):
         SearchOptions(max_seconds=-0.5)
+    with pytest.raises(ValueError, match="time limit nan is not a number"):
+        SearchOptions(max_seconds=float("nan"))
     SearchOptions(max_zones=0, max_seconds=0.0)  # zero limits stay valid
+    SearchOptions(max_seconds=float("inf"))

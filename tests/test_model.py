@@ -15,7 +15,6 @@ from zonereach.model import (
     TRUE,
     Transition,
     ValidationError,
-    automaton_of_label,
     max_constants,
     network_diagnostics,
     normalize_constants,
@@ -180,9 +179,9 @@ def test_max_constants_defaults_to_zero():
 
 def test_automaton_of_label(train_net):
     by_name = {label.name: label for label in train_net.labels}
-    assert automaton_of_label(train_net, by_name["app"]) == [0, 2]
-    assert automaton_of_label(train_net, by_name["down"]) == [1]
-    assert automaton_of_label(train_net, by_name["exit"]) == [0, 2]
+    assert train_net.participants[by_name["app"]] == (0, 2)
+    assert train_net.participants[by_name["down"]] == (1,)
+    assert train_net.participants[by_name["exit"]] == (0, 2)
 
 
 def test_initial_like_is_zero():
