@@ -15,6 +15,7 @@ than some arbitrary inconsistent matrix.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -22,20 +23,28 @@ from .bounds import INF, ZERO_LE, bound, is_strict, value
 from .model import Atom, ClockConstraint, ClockId
 
 
-def _close(grid: list[int], size: int) -> bool:
-    """Floyd-Warshall closure in place; False when the zone is empty."""
-    for k in range(size):
+def _close(grid: list[int], size: int, pivots: Iterable[int] | None = None) -> bool:
+    """Relax every path through the given pivot indices in place; None
+    means all of them, which is the full Floyd-Warshall closure, O(n³).
+    False when a diagonal cell ends below (0, <=), i.e. the zone is empty.
+
+    A closed grid with one cell (a, b) tightened is closed again by the
+    pivots (a, b) alone, in O(n²) (Bengtsson & Yi 2004).
+    """
+    for k in range(size) if pivots is None else pivots:
         krow = k * size
+        # row k's finite entries, read once per pivot.  Paths with i == k
+        # or j == k only add the cell (k, k), which cannot tighten
+        # anything unless it is below (0, <=), and then the zone is empty.
+        through_k = [(j, kj) for j, kj in enumerate(grid[krow:krow + size]) if kj != INF and j != k]
         for i in range(size):
             ik = grid[i * size + k]
-            if ik == INF:
+            if ik == INF or i == k:
                 continue
             irow = i * size
-            for j in range(size):
-                kj = grid[krow + j]
-                if kj == INF:
-                    continue
-                through = ((ik >> 1) + (kj >> 1)) << 1 | (ik & kj & 1)
+            for j, kj in through_k:
+                # bounds.add for finite bounds: values add, strict wins
+                through = ik + kj - ((ik | kj) & 1)
                 if through < grid[irow + j]:
                     grid[irow + j] = through
     for i in range(size):
@@ -63,12 +72,18 @@ class Dbm:
 
     @classmethod
     def from_bounds(cls, clocks: Sequence[ClockId], grid: Iterable[int]) -> "Dbm":
-        """Close an explicit bound grid; the empty marker on inconsistency."""
+        """Close an explicit bound grid with a full O(n³) closure; the
+        empty marker on inconsistency.  Every zone keeps its clocks
+        non-negative, so the diagonal and row 0 are first tightened to
+        at most (0, <=)."""
         clocks = tuple(clocks)
         size = len(clocks) + 1
         work = list(grid)
         if len(work) != size * size:
             raise ValueError("grid size does not match the clock list")
+        for i in range(size):
+            work[i] = min(work[i], ZERO_LE)
+            work[i * size + i] = min(work[i * size + i], ZERO_LE)
         if not _close(work, size):
             return cls(clocks, None)
         return cls(clocks, tuple(work))
@@ -107,7 +122,8 @@ class Dbm:
     def _closed(self, grid: list[int]) -> "Dbm":
         """The zone an edited copy of this zone's cells describes: this
         zone itself when no cell changed (it is canonical already), else
-        the closed grid, or the empty marker when it is inconsistent."""
+        the grid after a full O(n³) closure, or the empty marker when it
+        is inconsistent."""
         if tuple(grid) == self.cells:
             return self
         if not _close(grid, len(self.clocks) + 1):
@@ -121,23 +137,17 @@ class Dbm:
     # -- zone operations ----------------------------------------------
 
     def intersect(self, other: "Dbm") -> "Dbm":
+        """Cellwise minimum, then a full O(n³) closure (none when this
+        zone already lies inside ``other``)."""
         self._require_same_clocks(other)
         if self.cells is None or other.cells is None:
             return Dbm(self.clocks, None)
         return self._closed([min(a, b) for a, b in zip(self.cells, other.cells)])
 
-    def constrain(self, c: ClockConstraint) -> "Dbm":
-        """Intersect with a constraint: tighten a cell per atom, then
-        close once (not at all when no atom tightens anything)."""
-        if self.cells is None:
-            return self
-        size = len(self.clocks) + 1
-        grid = list(self.cells)
-
-        def tighten(i: int, j: int, raw: int) -> None:
-            if raw < grid[i * size + j]:
-                grid[i * size + j] = raw
-
+    def _edges(self, c: ClockConstraint) -> list[tuple[int, int, int]]:
+        """The constraint as matrix edges ``(i, j, raw)``: xi - xj bounded
+        by ``raw``, one edge per atom and two for ``=``."""
+        edges = []
         for atom in c.atoms:
             if not isinstance(atom.const, int):
                 raise ValueError(f"non-integer constant {atom.const!r}; scale the network first")
@@ -145,24 +155,41 @@ class Dbm:
             j = self._index(atom.rhs) if atom.rhs is not None else 0
             n = atom.const
             if atom.op == "<":
-                tighten(i, j, bound(n, strict=True))
+                edges.append((i, j, bound(n, strict=True)))
             elif atom.op == "<=":
-                tighten(i, j, bound(n, strict=False))
+                edges.append((i, j, bound(n, strict=False)))
             elif atom.op == ">":
-                tighten(j, i, bound(-n, strict=True))
+                edges.append((j, i, bound(-n, strict=True)))
             elif atom.op == ">=":
-                tighten(j, i, bound(-n, strict=False))
+                edges.append((j, i, bound(-n, strict=False)))
             elif atom.op == "=":
-                tighten(i, j, bound(n, strict=False))
-                tighten(j, i, bound(-n, strict=False))
+                edges.append((i, j, bound(n, strict=False)))
+                edges.append((j, i, bound(-n, strict=False)))
             else:
                 raise ValueError(f"unknown operator {atom.op!r}")
-        return self._closed(grid)
+        return edges
+
+    def constrain(self, c: ClockConstraint) -> "Dbm":
+        """Intersect with a constraint: O(n²) per edge that tightens a
+        cell, nothing for the others (this zone itself comes back when
+        none does)."""
+        if self.cells is None:
+            return self
+        size = len(self.clocks) + 1
+        grid = self.cells
+        for a, b, raw in self._edges(c):
+            if raw < grid[a * size + b]:
+                if grid is self.cells:
+                    grid = list(grid)
+                grid[a * size + b] = raw
+                if not _close(grid, size, (a, b)):
+                    return Dbm(self.clocks, None)
+        return self if grid is self.cells else Dbm(self.clocks, tuple(grid))
 
     def reset(self, resets: Sequence[ClockId]) -> "Dbm":
         """Set the given clocks to zero (the other dimensions keep their
         relations, i.e. assignment, not intersection with x = 0); a
-        closed matrix stays closed."""
+        closed matrix stays closed, so the cost is O(n) per clock."""
         if self.cells is None:
             return self
         size = len(self.clocks) + 1
@@ -179,7 +206,7 @@ class Dbm:
         """Future closure: every point shifted by every non-negative delay.
 
         Dropping the upper bounds (column 0) of a closed matrix keeps it
-        closed, so no re-closure is needed.
+        closed, so no re-closure is needed: O(n).
         """
         if self.cells is None:
             return self
@@ -190,39 +217,43 @@ class Dbm:
         return Dbm(self.clocks, tuple(grid))
 
     def includes(self, other: "Dbm") -> bool:
-        """Does this zone contain ``other`` as a set?"""
+        """Does this zone contain ``other`` as a set?  A cellwise O(n²)
+        check, exact because both matrices are canonical."""
         self._require_same_clocks(other)
         if other.cells is None:
             return True
         if self.cells is None:
             return False
-        return all(o <= s for s, o in zip(self.cells, other.cells))
+        return all(map(operator.le, other.cells, self.cells))
 
     def extrapolate(self, k: Mapping[ClockId, int]) -> "Dbm":
         """Coarsen beyond the per-clock maximum constants.
 
         Upper bounds above k(xi) become unbounded and lower bounds below
-        -k(xj) are clamped to strictly-beyond-k(xj); the result is
-        re-closed when a cell changed.  Zones that only differ beyond the
+        -k(xj) are clamped to strictly-beyond-k(xj); the result gets a
+        full O(n³) closure when a cell changed (it is not canonical, so
+        no pivot shortcut applies).  Zones that only differ beyond the
         constants collapse to the same matrix, which is what makes
         exploration finite.
         """
         if self.cells is None:
             return self
         size = len(self.clocks) + 1
-        limit = [0] + [k[c] for c in self.clocks]
+        # value(raw) > k(xi) is raw > (k, <=) and value(raw) < -k(xj) is
+        # raw < (-k, <); INF and -INF leave row 0 and column 0 alone, and
+        # the diagonal (0, <=) is never beyond a constant k >= 0.
+        upper = [INF] + [bound(k[c], strict=False) for c in self.clocks]
+        lower = [-INF] + [bound(-k[c], strict=True) for c in self.clocks]
         grid = list(self.cells)
         for i in range(size):
+            up = upper[i]
+            irow = i * size
             for j in range(size):
-                if i == j:
-                    continue
-                raw = grid[i * size + j]
-                if raw == INF:
-                    continue
-                if i > 0 and value(raw) > limit[i]:
-                    grid[i * size + j] = INF
-                elif j > 0 and value(raw) < -limit[j]:
-                    grid[i * size + j] = bound(-limit[j], strict=True)
+                raw = grid[irow + j]
+                if up < raw < INF:
+                    grid[irow + j] = INF
+                elif raw < lower[j]:
+                    grid[irow + j] = lower[j]
         return self._closed(grid)
 
     def eliminate(self, clock: ClockId) -> "Dbm":

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    _normalized,
     constraint_mask,
     dbm_mask,
     elapse_mask,
@@ -18,7 +19,7 @@ from oracles import (
     random_constraint,
     reset_mask,
 )
-from zonereach.bounds import INF, ZERO_LE, bound
+from zonereach.bounds import INF, ZERO_LE, bound, value
 from zonereach.dbm import Dbm
 from zonereach.model import Atom, ClockConstraint, ClockId, TRUE
 
@@ -106,9 +107,36 @@ def test_from_bounds_rejects_bad_grids():
         Dbm.from_bounds(CL, [ZERO_LE] * 4)  # wrong size
 
 
+def test_from_bounds_hands_out_canonical_zones_only():
+    # a grid that leaves the diagonal and row 0 open is still a zone of
+    # non-negative clocks: the universe, not a matrix that includes it
+    free = Dbm.from_bounds(CL, [INF] * 9)
+    u = Dbm.universe(CL)
+    assert free.key == u.key
+    assert free.includes(u) and u.includes(free)
+    negative_diagonal = [ZERO_LE] * 9
+    negative_diagonal[4] = bound(0, strict=True)  # y - y < 0
+    assert Dbm.from_bounds(CL, negative_diagonal).is_empty()
+
+
 def test_unknown_clock_is_named():
     with pytest.raises(ValueError, match="unknown clock 'W'$"):
         zone(Atom(ClockId("W", 2), None, "<=", 1))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (Atom(ClockId("W", 2), None, "<=", 1), "unknown clock 'W'$"),
+        (Atom(X, None, "<=", 1.5), "non-integer constant 1.5"),
+        (Atom(X, Y, "!=", 1), "unknown operator '!='"),
+    ],
+)
+def test_every_atom_is_checked_even_past_an_empty_prefix(bad, message):
+    with pytest.raises(ValueError, match=message):
+        zone(bad)
+    with pytest.raises(ValueError, match=message):
+        zone(Atom(X, None, "<", 1), Atom(X, None, ">", 1), bad)
 
 
 # -- structural laws over random zones ----------------------------------------
@@ -201,6 +229,79 @@ def test_constrain_is_intersection_with_the_constraint_zone():
         z = random_zone(rng, clocks)
         c = random_constraint(rng, clocks, max_atoms=3)
         assert z.constrain(c).cells == z.intersect(Dbm.from_constraint(c, clocks)).cells
+
+
+def random_atoms(rng, clocks):
+    """Atoms on single clocks and on differences (diagonal atoms), with
+    ``=`` and with pairs that contradict or only just touch."""
+    atoms = []
+    for _ in range(rng.randint(1, 3)):
+        lhs = rng.choice(clocks)
+        rhs = rng.choice([None] + [c for c in clocks if c != lhs])
+        const = rng.randint(-3, 8)
+        atoms.append(Atom(lhs, rhs, rng.choice(("<", "<=", "=", ">=", ">")), const))
+        if rng.random() < 0.2:
+            atoms.append(Atom(lhs, rhs, "<=", const))
+            atoms.append(Atom(lhs, rhs, rng.choice((">", ">=")), const))
+    return ClockConstraint(tuple(atoms))
+
+
+def test_constrain_equals_the_fully_closed_tightened_grid():
+    rng = random.Random(41)
+    empties = 0
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        clocks = make_clocks(n)
+        z = Dbm.from_constraint(random_constraint(rng, clocks, max_atoms=3), clocks).elapse()
+        if z.cells is None:
+            continue
+        c = random_atoms(rng, clocks)
+        index = {None: 0} | {clock: i + 1 for i, clock in enumerate(clocks)}
+        size = n + 1
+        grid = list(z.cells)
+        for lhs, rhs, strict, const in _normalized(c.atoms):
+            at = index[lhs] * size + index[rhs]
+            grid[at] = min(grid[at], bound(const, strict))
+        expected = Dbm.from_bounds(clocks, grid)
+        got = z.constrain(c)
+        assert got.cells == expected.cells
+        assert (got is z) == (expected.cells == z.cells)
+        empties += got.is_empty()
+    assert 80 < empties < 240  # both outcomes are exercised
+
+
+def reference_extrapolate(z, k):
+    """Extra_M from its definition, on bound values, then a full closure."""
+    size = len(z.clocks) + 1
+    limit = [0] + [k[c] for c in z.clocks]
+    grid = list(z.cells)
+    for i in range(size):
+        for j in range(size):
+            raw = grid[i * size + j]
+            if i == j or raw == INF:
+                continue
+            if i > 0 and value(raw) > limit[i]:
+                grid[i * size + j] = INF
+            elif j > 0 and value(raw) < -limit[j]:
+                grid[i * size + j] = bound(-limit[j], strict=True)
+    return Dbm.from_bounds(z.clocks, grid)
+
+
+def test_extrapolate_matches_its_definition():
+    rng = random.Random(43)
+    changed = 0
+    for _ in range(400):
+        clocks = make_clocks(rng.randint(1, 6))
+        z = random_zone(rng, clocks)
+        if rng.random() < 0.5:
+            z = z.elapse()
+        if z.cells is None:
+            continue
+        k = {c: rng.choice((0, 0, 1, 2, 3, 5, 8)) for c in clocks}
+        got = z.extrapolate(k)
+        assert got.cells == reference_extrapolate(z, k).cells
+        changed += got is not z
+    assert changed > 100
 
 
 def test_eliminate_commutes():
