@@ -82,10 +82,7 @@ def _query_lines(args) -> list[str]:
 
 
 def _print_diagnostics(prefix: str, err: Exception) -> None:
-    if isinstance(err, ParseError):
-        for d in err.diagnostics:
-            print(f"{prefix}: {d}", file=sys.stderr)
-    elif isinstance(err, ValidationError):
+    if isinstance(err, (ParseError, ValidationError)):
         for d in err.diagnostics:
             print(f"{prefix}: {d}", file=sys.stderr)
     else:

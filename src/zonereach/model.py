@@ -46,9 +46,6 @@ class Atom(NamedTuple):
     op: str
     const: Number
 
-    def mentions(self, clock: ClockId) -> bool:
-        return self.lhs == clock or self.rhs == clock
-
     def holds(self, valuation: Mapping[ClockId, Number]) -> bool:
         left = valuation[self.lhs]
         if self.rhs is not None:

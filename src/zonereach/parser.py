@@ -140,6 +140,14 @@ class _Parser:
             self.fail(tok, f"expected {word!r}, found {found}")
         return tok
 
+    def at_nil(self) -> bool:
+        """Consume a closing ``nil`` if it comes next."""
+        tok = self.peek()
+        if tok.kind == "word" and tok.text == "nil":
+            self.advance()
+            return True
+        return False
+
     # -- shared pieces --------------------------------------------------
 
     def identifier_list(self, what: str) -> list[Token]:
@@ -265,9 +273,7 @@ class _Parser:
         self.expect_keyword("Automata")
         automata = []
         while True:
-            tok = self.peek()
-            if tok.kind == "word" and tok.text == "nil":
-                self.advance()
+            if self.at_nil():
                 break
             self.expect_punct("(")
             self.expect_keyword("Locations")
@@ -277,9 +283,7 @@ class _Parser:
             self.expect_keyword("Invariants")
             invariants = {}
             while True:
-                tok = self.peek()
-                if tok.kind == "word" and tok.text == "nil":
-                    self.advance()
+                if self.at_nil():
                     break
                 loc_tok = self.expect_word("a location or 'nil'")
                 self.expect_punct(":")
@@ -287,9 +291,7 @@ class _Parser:
             self.expect_keyword("Transitions")
             transitions = []
             while True:
-                tok = self.peek()
-                if tok.kind == "word" and tok.text == "nil":
-                    self.advance()
+                if self.at_nil():
                     break
                 source = resolve_location(self.expect_word("a location or 'nil'"))
                 self.expect_punct(",")

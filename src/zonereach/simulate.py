@@ -1,11 +1,14 @@
-"""Concrete semantics: single steps and brute-force reachability.
+"""Concrete semantics: single steps and one grid search.
 
 These functions run the network on explicit rational clock valuations.
-They are deliberately naive; the point is to have a second, independent
-account of the semantics against which the symbolic engine can be
-checked.  ``sim_reach_oracle`` only ever claims reachability it has
-witnessed (delays are restricted to multiples of a granularity within a
-time horizon), so its answer is one-sided.
+They are deliberately naive: a second, independent account of the
+semantics against which the symbolic engine is checked.  One
+breadth-first search walks grid states, delaying one granularity step
+at a time within a time horizon, in two modes: ``sim_reach_oracle``
+fires every label and reports the location vectors reached, and
+``find_concrete_run`` fires a given label sequence and returns a timed
+run along it.  Both are one-sided: what they find is genuinely
+reachable, and what they miss proves nothing.
 """
 
 from __future__ import annotations
@@ -104,10 +107,6 @@ class OracleResult:
     inconclusive: bool
 
 
-def _freeze(locations: LocationVector, v: Valuation, clocks: Sequence[ClockId]):
-    return locations, tuple(v[c] for c in clocks)
-
-
 def _seed_valuations(
     net: Network, constraint: ClockConstraint, granularity: Fraction, limit: int = 4096
 ) -> list[Valuation]:
@@ -133,6 +132,63 @@ def _seed_valuations(
     return seeds
 
 
+def _grid_search(
+    net: Network,
+    query: Query,
+    labels: Optional[Sequence[LabelId]],
+    horizon: Fraction,
+    granularity: Fraction,
+    max_states: int,
+):
+    """Breadth-first over grid states (locations, valuation, position).
+
+    With ``labels`` None every label fires and the position stays 0;
+    otherwise only ``labels[position]`` fires and advances it.  Returns
+    ``(found, goal, capped)``: ``found`` maps each key ``((locations,
+    values), position)`` to ``(least elapsed, (parent key, label or None
+    for a delay))``, or ``(0, None)`` for a source; ``goal`` is the first
+    expanded state past the last label that meets the target, or None;
+    ``capped`` says more than ``max_states`` states were found.
+    """
+    horizon = Fraction(horizon)
+    granularity = Fraction(granularity)
+    clocks, source, target = net.clocks, query.source, query.target
+    advance = 0 if labels is None else 1
+    found: dict = {}
+    queue: deque = deque()
+    for v in _seed_valuations(net, source.constraint, granularity):
+        if invariants_hold(net, source.locations, v):
+            key = ((source.locations, tuple(v[c] for c in clocks)), 0)
+            found[key] = (Fraction(0), None)
+            queue.append((source.locations, v, Fraction(0), key))
+    while queue:
+        if len(found) > max_states:
+            return found, None, True
+        locations, v, elapsed, key = queue.popleft()
+        if elapsed > found[key][0]:  # stale: found again with less elapsed time
+            continue
+        pos = key[1]
+        if labels is not None and pos == len(labels):
+            if locations == target.locations and target.constraint.holds(v):
+                return found, key, False
+        moves = []
+        if elapsed + granularity <= horizon:
+            shifted = sim_delay(net, locations, v, granularity)
+            if shifted is not None:
+                moves.append((None, locations, shifted, elapsed + granularity, pos))
+        if labels is None or pos < len(labels):
+            for label, vector, new_v in enabled_actions(net, locations, v):
+                if labels is None or label == labels[pos]:
+                    moves.append((label, vector, new_v, elapsed, pos + advance))
+        for label, vector, new_v, t, npos in moves:
+            nkey = ((vector, tuple(new_v[c] for c in clocks)), npos)
+            known = found.get(nkey)
+            if known is None or known[0] > t:
+                found[nkey] = (t, (key, label))
+                queue.append((vector, new_v, t, nkey))
+    return found, None, False
+
+
 def sim_reach_oracle(
     net: Network,
     query: Query,
@@ -140,46 +196,12 @@ def sim_reach_oracle(
     granularity: Fraction,
     max_states: int = 200_000,
 ) -> OracleResult:
-    """Location vectors reachable with grid delays within the horizon.
-
-    Breadth-first over (locations, valuation) pairs, delaying one
-    granularity step at a time.  Everything returned is genuinely
-    reachable; missing vectors prove nothing.  Exceeding ``max_states``
-    flags the result as inconclusive.
+    """Location vectors reachable with grid delays within the horizon
+    (missing ones prove nothing); ``inconclusive`` when more than
+    ``max_states`` states were found.
     """
-    horizon = Fraction(horizon)
-    granularity = Fraction(granularity)
-    reached: set[LocationVector] = set()
-    best: dict = {}
-    queue: deque = deque()
-    source = query.source
-    for v in _seed_valuations(net, source.constraint, granularity):
-        if invariants_hold(net, source.locations, v):
-            key = _freeze(source.locations, v, net.clocks)
-            best[key] = Fraction(0)
-            queue.append((source.locations, v, Fraction(0)))
-            reached.add(source.locations)
-    inconclusive = False
-    while queue:
-        locations, v, elapsed = queue.popleft()
-        if len(best) > max_states:
-            inconclusive = True
-            break
-        if elapsed + granularity <= horizon:
-            shifted = sim_delay(net, locations, v, granularity)
-            if shifted is not None:
-                key = _freeze(locations, shifted, net.clocks)
-                t = elapsed + granularity
-                if best.get(key, None) is None or best[key] > t:
-                    best[key] = t
-                    queue.append((locations, shifted, t))
-        for _label, vector, new_v in enabled_actions(net, locations, v):
-            key = _freeze(vector, new_v, net.clocks)
-            if best.get(key, None) is None or best[key] > elapsed:
-                best[key] = elapsed
-                reached.add(vector)
-                queue.append((vector, new_v, elapsed))
-    return OracleResult(frozenset(reached), inconclusive)
+    found, _, capped = _grid_search(net, query, None, horizon, granularity, max_states)
+    return OracleResult(frozenset(frozen[0] for frozen, _ in found), capped)
 
 
 @dataclass(frozen=True)
@@ -202,69 +224,21 @@ def find_concrete_run(
     grid search finds one: delays are multiples of the granularity and
     their total stays within the horizon.
     """
-    horizon = Fraction(horizon)
-    granularity = Fraction(granularity)
-    target = query.target
-    start_states = []
-    for v in _seed_valuations(net, query.source.constraint, granularity):
-        if invariants_hold(net, query.source.locations, v):
-            start_states.append((query.source.locations, v))
-    # state: (locations, valuation, position in the label sequence); a state
-    # revisited with strictly less elapsed time is expanded again, since the
-    # leftover delay budget is what decides feasibility downstream.
-    best: dict = {}
-    queue: deque = deque()
-    parents: dict = {}
-    for locations, v in start_states:
-        key = (_freeze(locations, v, net.clocks), 0)
-        if best.get(key) is None:
-            best[key] = Fraction(0)
-            queue.append((locations, v, 0, Fraction(0), key))
-            parents[key] = None
-    while queue:
-        if len(best) > max_states:
-            return None
-        locations, v, pos, elapsed, key = queue.popleft()
-        if elapsed > best[key]:
-            continue
-        if pos == len(labels) and locations == target.locations and target.constraint.holds(v):
-            # Parent pointers may have been rerouted by cheaper arrivals,
-            # so elapsed stamps are recomputed while walking the chain.
-            edges = []
-            cursor = key
-            while parents[cursor] is not None:
-                prev_key, step = parents[cursor]
-                edges.append(step)
-                cursor = prev_key
-            edges.reverse()
-            steps = []
-            t = Fraction(0)
-            for edge in edges:
-                if edge is None:
-                    t += granularity
-                else:
-                    steps.append(ConcreteStep(t, edge.label, edge.locations, edge.valuation))
-            return steps
-        if elapsed + granularity <= horizon:
-            shifted = sim_delay(net, locations, v, granularity)
-            if shifted is not None:
-                t = elapsed + granularity
-                nkey = (_freeze(locations, shifted, net.clocks), pos)
-                if best.get(nkey) is None or best[nkey] > t:
-                    best[nkey] = t
-                    parents[nkey] = (key, None)
-                    queue.append((locations, shifted, pos, t, nkey))
-        if pos < len(labels):
-            wanted = labels[pos]
-            for label, vector, new_v in enabled_actions(net, locations, v):
-                if label != wanted:
-                    continue
-                nkey = (_freeze(vector, new_v, net.clocks), pos + 1)
-                if best.get(nkey) is None or best[nkey] > elapsed:
-                    best[nkey] = elapsed
-                    step = ConcreteStep(
-                        elapsed, label, vector, tuple(new_v[c] for c in net.clocks)
-                    )
-                    parents[nkey] = (key, step)
-                    queue.append((vector, new_v, pos + 1, elapsed, nkey))
-    return None
+    found, key, _ = _grid_search(net, query, labels, horizon, granularity, max_states)
+    if key is None:
+        return None
+    # Parent pointers may have been rerouted by cheaper arrivals, so
+    # firing times are recounted from the delay steps on the chain.
+    chain = []
+    while found[key][1] is not None:
+        parent, label = found[key][1]
+        chain.append((label, key))
+        key = parent
+    steps = []
+    t = Fraction(0)
+    for label, ((locations, valuation), _) in reversed(chain):
+        if label is None:
+            t += Fraction(granularity)
+        else:
+            steps.append(ConcreteStep(t, label, locations, valuation))
+    return steps

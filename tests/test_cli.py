@@ -113,6 +113,13 @@ def test_query_file_that_is_not_utf8(run, tmp_path):
     assert err == f"zonereach: cannot read {bad}: not UTF-8 text\n"
 
 
+def test_missing_query_file(run, tmp_path):
+    absent = tmp_path / "absent.txt"
+    code, out, err = run(TRAIN_PATH, "--queries", absent)
+    assert code == cli.NO_FILE and out == ""
+    assert err.startswith(f"zonereach: cannot read {absent}: ") and err.count("\n") == 1
+
+
 def test_faithful_still_answers_the_bounded_system(run):
     code, out, _ = run(
         TRAIN_PATH, "--subsume", "equal", "--no-extrapolate", "--queries", QUERIES_PATH

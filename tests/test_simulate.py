@@ -115,6 +115,15 @@ def test_oracle_flags_state_explosions(train_net):
     assert res.inconclusive
 
 
+@pytest.mark.parametrize("granularity, reachable", [(Fraction(1), False), (Fraction(1, 2), True)])
+def test_oracle_and_concrete_run_agree_on_the_grid(gated, granularity, reachable):
+    q = parse_query("go(s0.nil/x=0 ^ y=0 ^ true, s1.nil/true)", gated)
+    oracle = sim_reach_oracle(gated, q, horizon=Fraction(6), granularity=granularity)
+    run = find_concrete_run(gated, q, list(gated.labels), horizon=Fraction(6), granularity=granularity)
+    assert ((gated.locations[1],) in oracle.vectors) is reachable
+    assert (run is not None) is reachable
+
+
 def test_find_concrete_run_checks_out_step_by_step(train_net):
     q = parse_query("go(Far.Up.u0.nil/true, In.Down.u0.nil/true)", train_net)
     by_name = {l.name: l for l in train_net.labels}
@@ -151,3 +160,12 @@ def test_find_concrete_run_rejects_impossible_sequences(train_net):
     # right labels, but a horizon too short to satisfy X>2 before enter
     good = [by_name[n] for n in ("app", "lower", "down", "enter")]
     assert find_concrete_run(train_net, q, good, horizon=Fraction(2), granularity=Fraction(1, 2)) is None
+
+
+def test_find_concrete_run_gives_up_past_max_states(train_net):
+    q = parse_query("go(Far.Up.u0.nil/true, In.Down.u0.nil/true)", train_net)
+    by_name = {l.name: l for l in train_net.labels}
+    labels = [by_name[n] for n in ("app", "lower", "down", "enter")]
+    grid = dict(horizon=Fraction(12), granularity=Fraction(1, 2))
+    assert find_concrete_run(train_net, q, labels, **grid) is not None
+    assert find_concrete_run(train_net, q, labels, **grid, max_states=10) is None
