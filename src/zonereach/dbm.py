@@ -202,6 +202,24 @@ class Dbm:
             grid[r * size + r] = ZERO_LE
         return Dbm(self.clocks, tuple(grid))
 
+    def free(self, clocks: Sequence[ClockId]) -> "Dbm":
+        """Forget the given clocks: each may take any non-negative value,
+        the others keep their relations (existential quantification, the
+        clock staying in scope).  Row x unbounded and column x a copy of
+        column 0 keep a closed matrix closed, so the cost is O(n) per
+        clock, nothing when there is none."""
+        if self.cells is None or not clocks:
+            return self
+        size = len(self.clocks) + 1
+        grid = list(self.cells)
+        for clock in clocks:
+            x = self._index(clock)
+            for j in range(size):
+                grid[x * size + j] = INF              # no upper bound on x - xj
+                grid[j * size + x] = grid[j * size]   # xj - x bounded as xj - 0
+            grid[x * size + x] = ZERO_LE
+        return Dbm(self.clocks, tuple(grid))
+
     def elapse(self) -> "Dbm":
         """Future closure: every point shifted by every non-negative delay.
 

@@ -11,12 +11,17 @@ reset, and then enters the target vector.  Entering a vector is one
 step, the same for the source zone and for every successor:
 
     constrain by the invariants -> elapse -> constrain by the
-    invariants -> extrapolation past the maximum constants ``k``
+    invariants -> free the inactive clocks -> extrapolation past the
+    maximum constants ``k``
 
 where the double invariant constraint is exact because invariants
 are convex, and ``k`` None means exact zones, with no extrapolation.
-Guards, invariants and goal constraints are applied to the zone
-directly with ``constrain``; no zone is built for them.
+A clock is inactive at a vector when no automaton reads it before
+resetting it (``Network.active``) and the goal constraint does not
+read it either; its value carries no information, so forgetting it
+is exact and merges zones that differ only there (Daws & Yovine,
+RTSS 1996).  Guards, invariants and goal constraints are applied to
+the zone directly with ``constrain``; no zone is built for them.
 
 The search is a plain worklist (LIFO or FIFO).  Every new state, the
 source state included, is goal-tested before the visited check, so a
@@ -53,9 +58,9 @@ from .model import (
 LocationVector = tuple[LocationId, ...]
 
 # Both zone types offer the same surface: ``from_constraint(c, clocks)``,
-# ``constrain`` (intersection with a constraint), ``reset``, ``elapse``,
-# ``is_empty``, ``includes``, ``extrapolate`` and a hashable canonical
-# ``key``.
+# ``constrain`` (intersection with a constraint), ``reset``, ``free``,
+# ``elapse``, ``is_empty``, ``includes``, ``extrapolate`` and a hashable
+# canonical ``key``.
 Zone = Union[Dbm, Formula]
 ZONE_TYPES: dict[str, type] = {"dbm": Dbm, "formula": Formula}
 
@@ -124,38 +129,68 @@ def _invariant(net: Network, vector: LocationVector) -> ClockConstraint:
     )
 
 
+class InactiveClocks(dict):
+    """Location vector -> the clocks freed on entering it, computed on
+    first use and kept for one search: every clock outside the active
+    sets of the vector's locations and outside ``keep``, the clocks the
+    goal test reads."""
+
+    def __init__(self, net: Network, keep: frozenset[ClockId]):
+        super().__init__()
+        self.net = net
+        self.keep = keep
+
+    def __missing__(self, vector: LocationVector) -> tuple[ClockId, ...]:
+        live = self.keep.union(*(table[loc] for table, loc in zip(self.net.active, vector)))
+        inactive = self[vector] = tuple(c for c in self.net.clocks if c not in live)
+        return inactive
+
+
 def _enter(
-    net: Network, vector: LocationVector, zone: Zone, k: Optional[Mapping[ClockId, int]]
+    net: Network,
+    vector: LocationVector,
+    zone: Zone,
+    k: Optional[Mapping[ClockId, int]],
+    inactive: InactiveClocks,
 ) -> Optional[StateZone]:
     """The stored state of a zone entering a location vector: the zone
-    constrained by the vector's invariant, delayed within it, and widened
-    past ``k`` unless ``k`` is None; None when the invariant leaves
-    nothing."""
+    constrained by the vector's invariant, delayed within it, its
+    inactive clocks freed, and widened past ``k`` unless ``k`` is None;
+    None when the invariant leaves nothing."""
     invariant = _invariant(net, vector)
     zone = zone.constrain(invariant)
     if zone.is_empty():
         return None
-    zone = zone.elapse().constrain(invariant)
+    zone = zone.elapse().constrain(invariant).free(inactive[vector])
     if k is not None:
         zone = zone.extrapolate(k)
     return StateZone(vector, zone)
 
 
 def root_state(
-    net: Network, query: Query, zone_type: type, k: Optional[Mapping[ClockId, int]]
+    net: Network,
+    query: Query,
+    zone_type: type,
+    k: Optional[Mapping[ClockId, int]],
+    inactive: InactiveClocks,
 ) -> Optional[StateZone]:
     """The stored form of the source state, None when the source is empty.
-    ``k`` None means exact zones, with no extrapolation."""
+    ``k`` None means exact zones, with no extrapolation; ``inactive``
+    must keep the clocks of ``query.target``."""
     zone = zone_type.from_constraint(query.source.constraint, net.clocks)
-    return _enter(net, query.source.locations, zone, k)
+    return _enter(net, query.source.locations, zone, k, inactive)
 
 
 def successors(
-    net: Network, state: StateZone, k: Optional[Mapping[ClockId, int]]
+    net: Network,
+    state: StateZone,
+    k: Optional[Mapping[ClockId, int]],
+    inactive: InactiveClocks,
 ) -> Iterator[tuple[LabelId, StateZone]]:
     """All label moves from a state, in the declaration order of
     ``model.joint_moves``.  ``k`` None means exact zones, with no
-    extrapolation."""
+    extrapolation; ``inactive`` says which clocks each target vector
+    forgets."""
     for label, moves in joint_moves(net, state.locations):
         guard_atoms = []
         resets: list[ClockId] = []
@@ -167,7 +202,7 @@ def successors(
         zone = state.zone.constrain(ClockConstraint(tuple(guard_atoms)))
         if zone.is_empty():
             continue
-        succ = _enter(net, tuple(vector), zone.reset(resets), k)
+        succ = _enter(net, tuple(vector), zone.reset(resets), k, inactive)
         if succ is not None:
             yield label, succ
 
@@ -236,7 +271,8 @@ def explore(net: Network, query: Query, options: Optional[SearchOptions] = None)
         stats.seconds = time.monotonic() - started
         return ExploreResult(verdict, witness, stats, reason)
 
-    root = root_state(net, query, ZONE_TYPES[options.backend], k)
+    inactive = InactiveClocks(net, query.target.constraint.clocks)
+    root = root_state(net, query, ZONE_TYPES[options.backend], k, inactive)
     if root is None:
         return result(Verdict.UNREACHABLE)
     visited = _Visited(options.subsumption)
@@ -260,7 +296,7 @@ def explore(net: Network, query: Query, options: Optional[SearchOptions] = None)
             return result(Verdict.INCONCLUSIVE, reason="time limit exceeded")
         node = worklist.pop() if options.order == "dfs" else worklist.popleft()
         stats.popped += 1
-        batch = list(successors(net, node.state, k))
+        batch = list(successors(net, node.state, k, inactive))
         if options.order == "dfs":
             # Reversed so the first-generated successor is explored first.
             batch.reverse()
@@ -274,7 +310,8 @@ def replay_witness(
     if options is None:
         options = SearchOptions()
     k = max_constants(net, query) if options.extrapolate else None
-    root = root_state(net, query, ZONE_TYPES[options.backend], k)
+    inactive = InactiveClocks(net, query.target.constraint.clocks)
+    root = root_state(net, query, ZONE_TYPES[options.backend], k, inactive)
     if root is None:
         return False
     frontier = [root]
@@ -282,7 +319,7 @@ def replay_witness(
         frontier = [
             succ
             for state in frontier
-            for label, succ in successors(net, state, k)
+            for label, succ in successors(net, state, k, inactive)
             if label == wanted
         ]
         if not frontier:

@@ -76,6 +76,13 @@ class Formula:
     def reset(self, resets: Sequence[ClockId]) -> "Formula":
         return fm_reset(self, resets)
 
+    def free(self, clocks: Sequence[ClockId]) -> "Formula":
+        """Project the clocks away and keep them in scope, non-negative."""
+        if not clocks:
+            return self
+        projected = fm_exists(self, clocks)
+        return make_formula(self.clocks, projected.atoms, projected.is_false)
+
     def elapse(self) -> "Formula":
         return fm_elapse(self)
 

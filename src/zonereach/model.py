@@ -76,6 +76,13 @@ class ClockConstraint:
     def holds(self, valuation: Mapping[ClockId, Number]) -> bool:
         return all(atom.holds(valuation) for atom in self.atoms)
 
+    @property
+    def clocks(self) -> frozenset[ClockId]:
+        """The clocks the constraint reads; a difference atom reads both."""
+        return frozenset(
+            clock for atom in self.atoms for clock in (atom.lhs, atom.rhs) if clock is not None
+        )
+
 
 TRUE = ClockConstraint()
 
@@ -128,6 +135,31 @@ class Network:
             for t in aut.transitions:
                 table.setdefault((i, t.source, t.label), []).append(t)
         return {key: tuple(ts) for key, ts in table.items()}
+
+    @cached_property
+    def active(self) -> tuple[dict[LocationId, frozenset[ClockId]], ...]:
+        """Per automaton: location -> its active clocks (Daws & Yovine,
+        RTSS 1996), those it may read before it resets them.  The others
+        carry no information there."""
+        return tuple(_active_clocks(aut) for aut in self.automata)
+
+
+def _active_clocks(aut: Automaton) -> dict[LocationId, frozenset[ClockId]]:
+    """A clock is active at a location when the location's invariant or
+    an outgoing guard reads it, or when an outgoing transition that does
+    not reset it leads to a location where it is active; a fixpoint."""
+    active = {loc: set(aut.invariants[loc].clocks) for loc in aut.locations}
+    for t in aut.transitions:
+        active[t.source] |= t.guard.clocks
+    changed = True
+    while changed:
+        changed = False
+        for t in aut.transitions:
+            carried = active[t.target].difference(t.resets, active[t.source])
+            if carried:
+                active[t.source] |= carried
+                changed = True
+    return {loc: frozenset(clocks) for loc, clocks in active.items()}
 
 
 @dataclass(frozen=True)

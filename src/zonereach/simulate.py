@@ -52,6 +52,14 @@ def sim_delay(
         raise ValueError("negative delay")
     if not invariants_hold(net, locations, v):
         return None
+    return _delayed_within(net, locations, v, d)
+
+
+def _delayed_within(
+    net: Network, locations: LocationVector, v: Valuation, d: Fraction
+) -> Optional[Valuation]:
+    """``sim_delay`` for a valuation already known to satisfy the
+    invariants: only the delayed end is checked."""
     shifted = {clock: value + d for clock, value in v.items()}
     if not invariants_hold(net, locations, shifted):
         return None
@@ -173,7 +181,9 @@ def _grid_search(
                 return found, key, False
         moves = []
         if elapsed + granularity <= horizon:
-            shifted = sim_delay(net, locations, v, granularity)
+            # every queued valuation satisfies its invariants: the seeds
+            # are filtered and each move is checked where it lands
+            shifted = _delayed_within(net, locations, v, granularity)
             if shifted is not None:
                 moves.append((None, locations, shifted, elapsed + granularity, pos))
         if labels is None or pos < len(labels):

@@ -21,6 +21,7 @@ from oracles import (
     dbm_mask,
     elapse_mask,
     exists_mask,
+    formula_mask,
     grid,
     make_clocks,
     random_constraint,
@@ -209,6 +210,11 @@ def test_criterion_4_backend_crosscheck(report):
             assert fm_intersect(f, g).closed_cells == z.intersect(w).cells
             assert fm_reset(f, [var]).closed_cells == z.reset([var]).cells
             assert fm_elapse(f).closed_cells == z.elapse().cells
+
+            freed = f.free([var])
+            assert freed.closed_cells == z.free([var]).cells
+            pts = grid(len(clocks))
+            assert np.array_equal(formula_mask(freed, pts), exists_mask(first, clocks, var, pts))
 
             projected = fm_exists(f, [var])
             minor = z.eliminate(var)

@@ -75,6 +75,16 @@ def test_eliminate_is_the_exact_projection():
     assert p.to_constraint().atoms == (Atom(X, None, "<=", 5),)
 
 
+def test_free_forgets_one_clock_and_keeps_what_it_implied():
+    # freeing y in {x - y <= 2, y <= 3} keeps the derived x <= 5
+    z = zone(Atom(X, Y, "<=", 2), Atom(Y, None, "<=", 3))
+    f = z.free([Y])
+    assert f.cells == (1, 1, 1, 11, 1, 11, INF, INF, 1)
+    assert f.to_constraint().atoms == (Atom(X, None, "<=", 5), Atom(X, Y, "<=", 5))
+    assert z.free([]) is z
+    assert Dbm(CL, None).free([X]).is_empty()
+
+
 def test_universe_and_empty_extremes():
     u = Dbm.universe(CL)
     assert not u.is_empty()
@@ -304,6 +314,19 @@ def test_extrapolate_matches_its_definition():
     assert changed > 100
 
 
+def test_free_grows_stays_canonical_and_composes():
+    rng = random.Random(23)
+    for _ in range(200):
+        clocks = make_clocks(rng.randint(2, 4))
+        z = random_zone(rng, clocks)
+        a, b = rng.sample(clocks, 2)
+        f = z.free([a])
+        assert f.includes(z)
+        assert f.canonicalize().cells == f.cells
+        assert f.free([a]).cells == f.cells
+        assert f.free([b]).cells == z.free([b, a]).cells == z.free([b]).free([a]).cells
+
+
 def test_eliminate_commutes():
     rng = random.Random(29)
     for _ in range(150):
@@ -346,3 +369,4 @@ def test_grid_membership_matches_the_oracle():
             for i, c in enumerate(rest):
                 full[:, c.index] = sub[:, i]
             assert np.array_equal(dbm_mask(z1.eliminate(var), sub), exists_mask(c1, clocks, var, full))
+        assert np.array_equal(dbm_mask(z1.free([var]), pts), exists_mask(c1, clocks, var, pts))

@@ -2,16 +2,22 @@
 
 Successor zones for the first two steps of the railroad system are
 frozen cell by cell (hand-derived: the controller invariant Z<=1 caps
-the first delay, the gate reset pins Y to X-1 on the second step).
+the first delay, the gate reset pins Y to X-1 on the second step, and
+each step frees the clock no automaton reads before resetting it).
 """
+
+import dataclasses
+import random
 
 import pytest
 
 from conftest import DIVERGING_PATH, TRAIN_PATH
+from test_parser import random_network
 from zonereach import parse_query, parse_spec
 from zonereach.bounds import INF
 from zonereach.dbm import Dbm
 from zonereach.explorer import (
+    InactiveClocks,
     SearchOptions,
     StateZone,
     Verdict,
@@ -21,7 +27,17 @@ from zonereach.explorer import (
     root_state,
     successors,
 )
-from zonereach.model import max_constants
+from zonereach.model import (
+    TRUE,
+    Atom,
+    ClockConstraint,
+    Network,
+    Query,
+    StatePattern,
+    max_constants,
+    normalize_constants,
+    validate,
+)
 
 ALL_CONFIGS = [
     SearchOptions(backend=b, order=o, subsumption=s)
@@ -34,6 +50,23 @@ FAITHFUL = SearchOptions(subsumption="equal", extrapolate=False)
 
 def names(ids):
     return [x.name for x in ids]
+
+
+def every_clock_active(net):
+    """The active-clock table of a search that frees nothing."""
+    return tuple({loc: frozenset(net.clocks) for loc in aut.locations} for aut in net.automata)
+
+
+@pytest.fixture
+def unreduced(monkeypatch):
+    """Run a search with every clock active everywhere, then restore."""
+
+    def run(search, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(Network, "active", property(every_clock_active))
+            return search(*args)
+
+    return run
 
 
 @pytest.fixture(scope="module")
@@ -71,23 +104,28 @@ def test_replay_rejects_wrong_sequences(train_net, queries):
 def test_first_two_successor_zones_frozen(train_net, queries):
     inside, _ = queries
     k = max_constants(train_net, inside)
-    root = root_state(train_net, inside, Dbm, k)
+    inactive = InactiveClocks(train_net, inside.target.constraint.clocks)
+    root = root_state(train_net, inside, Dbm, k, inactive)
     # constraint true and no source invariant: the root zone is the whole orthant
     assert root.zone.cells == Dbm.universe(train_net.clocks).cells
 
-    first = list(successors(train_net, root, k))
+    first = list(successors(train_net, root, k, inactive))
     assert len(first) == 1
     label, state = first[0]
     assert label.name == "app" and names(state.locations) == ["Near", "Up", "u1"]
-    # X = Z <= 1 (controller invariant caps the delay), Y - X >= 0
-    assert state.zone.cells == (1, 1, 1, 1, 3, 1, 1, 1, INF, INF, 1, INF, 3, 1, 1, 1)
+    # X = Z <= 1 (controller invariant caps the delay).  Up reads Y only
+    # after lower resets it, so Y is freed: row Y unbounded, column Y a
+    # copy of column 0 (X - Y <= 1 and Z - Y <= 1, where Y - X >= 0 was)
+    assert state.zone.cells == (1, 1, 1, 1, 3, 1, 3, 1, INF, INF, 1, INF, 3, 1, 3, 1)
 
-    second = list(successors(train_net, state, k))
+    second = list(successors(train_net, state, k, inactive))
     assert len(second) == 1
     label, state = second[0]
     assert label.name == "lower" and names(state.locations) == ["Near", "t1", "u0"]
-    # lower fires exactly at Z = 1 and resets Y: X - Y = 1, X in [1, 2]
-    assert state.zone.cells == (1, -1, 1, -1, 5, 1, 3, 1, 3, -1, 1, -1, 5, 1, 3, 1)
+    # lower fires exactly at Z = 1 and resets Y: X - Y = 1, X in [1, 2].
+    # u0 resets Z before reading it, so Z is freed: row Z unbounded and
+    # column Z a copy of column 0 (X - Z <= 2, Y - Z <= 1, where Z = X was)
+    assert state.zone.cells == (1, -1, 1, 1, 5, 1, 3, 5, 3, -1, 1, 3, INF, INF, INF, 1)
 
 
 def test_exact_successors_follow_the_unwidened_pipeline(diverging_net):
@@ -96,10 +134,11 @@ def test_exact_successors_follow_the_unwidened_pipeline(diverging_net):
     (aut,) = diverging_net.automata
     (tick,) = aut.transitions
     invariant = aut.invariants[tick.target]
-    state = root_state(diverging_net, q, Dbm, None)
+    inactive = InactiveClocks(diverging_net, q.target.constraint.clocks)
+    state = root_state(diverging_net, q, Dbm, None, inactive)
     for _ in range(3):
-        ((_, exact),) = successors(diverging_net, state, None)
-        ((_, widened),) = successors(diverging_net, state, k)
+        ((_, exact),) = successors(diverging_net, state, None, inactive)
+        ((_, widened),) = successors(diverging_net, state, k, inactive)
         pipeline = (
             state.zone.constrain(tick.guard).reset(tick.resets)
             .constrain(invariant).elapse().constrain(invariant)
@@ -142,7 +181,9 @@ def test_inclusion_never_stores_more_than_equality(train_net, queries):
     equal = explore(train_net, unsafe, SearchOptions(subsumption="equal")).stats
     assert include.stored <= equal.stored
     assert include.stored == 9  # one zone per reachable vector on this system
-    assert equal.stored == 11
+    # 11 without freeing: Far.Up.u0 and Near.Up.u1 were stored again when
+    # the crossing came round, differing only in clocks inactive there
+    assert equal.stored == 9
 
 
 def test_resource_limits_are_inconclusive_not_wrong(train_net, queries):
@@ -197,3 +238,57 @@ def test_options_are_validated():
         SearchOptions(max_seconds=float("nan"))
     SearchOptions(max_zones=0, max_seconds=0.0)  # zero limits stay valid
     SearchOptions(max_seconds=float("inf"))
+
+
+def test_inactive_clocks_leave_the_goal_clocks_alone(train_net, unreduced):
+    # Z is inactive at u0 and X at Far, yet the goal test reads them: app
+    # resets X and Z together, so Z - X > 0 never holds inside the crossing
+    cases = {
+        "go(Far.Up.u0.nil/true, In.Down.u0.nil/Z-X>0 ^ true)": Verdict.UNREACHABLE,
+        "go(Far.Up.u0.nil/true, In.Down.u0.nil/Z-X=0 ^ Z>4 ^ true)": Verdict.REACHABLE,
+        "go(Far.Up.u0.nil/X=0 ^ true, Far.Up.u0.nil/X>100 ^ true)": Verdict.REACHABLE,
+        "go(Far.Up.u0.nil/true, Far.t2.u0.nil/Z-Y>1 ^ true)": Verdict.UNREACHABLE,
+    }
+    for text, verdict in cases.items():
+        q = parse_query(text, train_net)
+        for options in ALL_CONFIGS + [FAITHFUL]:
+            result = explore(train_net, q, options)
+            assert result.verdict is verdict
+            assert unreduced(explore, train_net, q, options).verdict is verdict
+            if verdict is Verdict.REACHABLE:
+                assert replay_witness(train_net, q, result.witness, options)
+    first = parse_query(next(iter(cases)), train_net).target
+    assert names(InactiveClocks(train_net, frozenset())[first.locations]) == ["Y", "Z"]
+    assert names(InactiveClocks(train_net, first.constraint.clocks)[first.locations]) == ["Y"]
+
+
+def _random_query(rng, net):
+    atoms = []
+    for _ in range(rng.randint(0, 2)):
+        lhs = rng.choice(net.clocks)
+        others = [c for c in net.clocks if c != lhs]
+        rhs = rng.choice(others) if others and rng.random() < 0.3 else None
+        op = rng.choice(("<", "<=", "=", ">=", ">"))
+        atoms.append(Atom(lhs, rhs, op, rng.randint(0, 4) * net.scale))
+    return Query(
+        StatePattern(tuple(aut.locations[0] for aut in net.automata), TRUE),
+        StatePattern(tuple(rng.choice(aut.locations) for aut in net.automata),
+                     ClockConstraint(tuple(atoms))),
+    )
+
+
+def test_freeing_keeps_verdicts_and_never_stores_more(unreduced):
+    rng = random.Random(7)
+    configs = [dataclasses.replace(o, max_zones=2000) for o in ALL_CONFIGS + [FAITHFUL]]
+    fewer = 0
+    for _ in range(200):
+        net = normalize_constants(validate(random_network(rng)))
+        q = _random_query(rng, net)
+        for options in configs:
+            reduced = explore(net, q, options)
+            plain = unreduced(explore, net, q, options)
+            if plain.verdict is not Verdict.INCONCLUSIVE:
+                assert reduced.verdict is plain.verdict
+            assert reduced.stats.stored <= plain.stats.stored
+            fewer += reduced.stats.stored < plain.stats.stored
+    assert fewer > 0

@@ -85,6 +85,16 @@ def test_reset_pins_zero_and_keeps_survivors():
     assert not fm_entails(f, LinearAtom(None, Y, bound(-2, False)))
 
 
+def test_free_projects_and_keeps_the_clock_in_scope():
+    f = formula(Atom(X, Y, "<=", 2), Atom(Y, None, "<=", 3)).free([Y])
+    assert f.clocks == CL
+    assert fm_entails(f, LinearAtom(X, None, bound(5, False)))  # derived through y
+    assert fm_entails(f, LinearAtom(None, Y, bound(0, False)))  # y >= 0 is kept
+    assert not fm_entails(f, LinearAtom(Y, None, bound(1000, False)))
+    empty = formula(Atom(X, None, "<", 0))
+    assert empty.free([X]).is_empty() and f.free([]) is f
+
+
 def test_elapse_keeps_differences_and_drops_uppers():
     f = fm_elapse(formula(Atom(X, None, "=", 1), Atom(Y, None, "=", 0)))
     assert fm_entails(f, LinearAtom(X, Y, bound(1, False)))

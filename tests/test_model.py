@@ -184,6 +184,77 @@ def test_automaton_of_label(train_net):
     assert train_net.participants[by_name["exit"]] == (0, 2)
 
 
+def active_names(net):
+    return [
+        {loc.name: sorted(c.name for c in clocks) for loc, clocks in table.items()}
+        for table in net.active
+    ]
+
+
+def test_active_clocks_of_the_crossing(train_net):
+    # each clock is read only between its reset and the return to the
+    # location that resets it again
+    assert active_names(train_net) == [
+        {"Far": [], "Near": ["X"], "In": ["X"], "After": ["X"]},
+        {"Up": [], "t1": ["Y"], "Down": [], "t2": ["Y"]},
+        {"u0": [], "u1": ["Z"], "u2": ["Z"]},
+    ]
+
+
+def le(clock, n):
+    return ClockConstraint((Atom(clock, None, "<=", n),))
+
+
+def test_active_clocks_of_a_fischer_process():
+    # A -try, x:=0-> B (x<=2) -set x<=2, x:=0-> C -enter x>2-> CS -exit-> A,
+    # and C -retry, x:=0-> B: x matters only while waiting in B and C
+    a, b, c, cs = (LocationId(n, i) for i, n in enumerate(("A", "B", "C", "CS")))
+    try_, set_, enter, retry, exit_ = (
+        LabelId(n, i) for i, n in enumerate(("try", "set", "enter", "retry", "exit"))
+    )
+    gt2 = ClockConstraint((Atom(X, None, ">", 2),))
+    aut = Automaton(
+        locations=(a, b, c, cs),
+        alphabet=(try_, set_, enter, retry, exit_),
+        invariants={a: TRUE, b: le(X, 2), c: TRUE, cs: TRUE},
+        transitions=(
+            Transition(a, try_, TRUE, (X,), b),
+            Transition(b, set_, le(X, 2), (X,), c),
+            Transition(c, enter, gt2, (), cs),
+            Transition(c, retry, TRUE, (X,), b),
+            Transition(cs, exit_, TRUE, (), a),
+        ),
+    )
+    net = validate(small_net(clocks=(X,), locations=aut.locations, labels=aut.alphabet,
+                             automata=(aut,)))
+    assert active_names(net) == [{"A": [], "B": ["x"], "C": ["x"], "CS": []}]
+
+
+def test_a_clock_one_automaton_resets_stays_active_where_another_reads_it():
+    # automaton 0 resets x on its only move and never reads it; automaton 1
+    # carries x unreset from t0 to t1, where its invariant reads it
+    t0, t1 = LocationId("t0", 2), LocationId("t1", 3)
+    b = LabelId("b", 1)
+    resetter = Automaton((S0, S1), (A,), {S0: TRUE, S1: TRUE}, (Transition(S0, A, TRUE, (X,), S1),))
+    reader = Automaton((t0, t1), (b,), {t0: TRUE, t1: le(X, 3)}, (Transition(t0, b, TRUE, (), t1),))
+    net = validate(
+        small_net(locations=(S0, S1, t0, t1), labels=(A, b), automata=(resetter, reader))
+    )
+    assert active_names(net) == [{"s0": [], "s1": []}, {"t0": ["x"], "t1": ["x"]}]
+
+
+def test_a_diagonal_guard_keeps_both_clocks_active():
+    aut = Automaton(
+        locations=(S0, S1),
+        alphabet=(A,),
+        invariants={S0: TRUE, S1: TRUE},
+        transitions=(Transition(S0, A, ClockConstraint((Atom(X, Y, "<", 1),)), (), S1),),
+    )
+    net = validate(small_net(automata=(aut,)))
+    assert active_names(net) == [{"s0": ["x", "y"], "s1": []}]
+    assert ClockConstraint((Atom(X, Y, "<", 1),)).clocks == {X, Y}
+
+
 def test_initial_like_is_zero():
     v = small_net().initial_like()
     assert v == {X: 0, Y: 0} and all(x == Fraction(0) for x in v.values())
