@@ -17,9 +17,14 @@ the sentinel take part in an addition; ``add`` guards against that.
 
 from __future__ import annotations
 
-# Large enough that no finite bound in any realistic network reaches it
-# (values stay within a few times the largest scaled constant).
 INF = 1 << 60
+
+# The largest magnitude a scaled constant may have.  A closed matrix
+# holds shortest paths, each a sum of at most (clocks + 1) raw bounds of
+# at most 2 * MAX_CONSTANT + 1, so no finite cell reaches INF below
+# 2**18 clocks.  A larger constant could give a raw bound at or above
+# INF, which reads as "no bound"; the parser refuses it.
+MAX_CONSTANT = 1 << 40
 
 ZERO_LE = 1  # bound(0, strict=False): the canonical diagonal entry
 

@@ -5,7 +5,8 @@ it, and prints one tab-separated verdict line per query.  Exit status:
 
     0  every query evaluated
     1  the specification or a query did not parse / validate
-    2  the specification file could not be read (argparse errors too)
+    2  the specification or the ``--queries`` file could not be read
+       (argparse errors too)
     3  a search hit a zone or time limit and gave up
     4  self-test found configurations disagreeing on a verdict
 """
@@ -67,18 +68,17 @@ def _search_options(args) -> SearchOptions:
     )
 
 
-def _query_lines(args) -> list[str]:
-    lines: list[str] = list(args.query)
-    if args.queries is not None:
-        lines.extend(Path(args.queries).read_text(encoding="utf-8").splitlines())
-    if not args.query and args.queries is None:
-        lines.extend(sys.stdin.read().splitlines())
-    cleaned = []
-    for line in lines:
-        stripped = line.split("//", 1)[0].strip()
-        if stripped:
-            cleaned.append(stripped)
-    return cleaned
+def _read(path: str) -> Optional[str]:
+    """The text of a UTF-8 file, or None once the reason it cannot be
+    read is printed."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as err:
+        reason = err.strerror
+    except UnicodeDecodeError:
+        reason = "not UTF-8 text"
+    print(f"zonereach: cannot read {path}: {reason}", file=sys.stderr)
+    return None
 
 
 def _print_diagnostics(prefix: str, err: Exception) -> None:
@@ -123,13 +123,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"zonereach: {err}", file=sys.stderr)
         return BAD_INPUT
 
-    try:
-        text = Path(args.spec).read_text(encoding="utf-8")
-    except OSError as err:
-        print(f"zonereach: cannot read {args.spec}: {err.strerror}", file=sys.stderr)
-        return NO_FILE
-    except UnicodeDecodeError:
-        print(f"zonereach: cannot read {args.spec}: not UTF-8 text", file=sys.stderr)
+    text = _read(args.spec)
+    if text is None:
         return NO_FILE
     try:
         net = parse_spec(text)
@@ -137,17 +132,20 @@ def main(argv: Optional[list[str]] = None) -> int:
         _print_diagnostics(args.spec, err)
         return BAD_INPUT
 
-    try:
-        lines = _query_lines(args)
-    except OSError as err:
-        print(f"zonereach: cannot read {args.queries}: {err.strerror}", file=sys.stderr)
-        return NO_FILE
-    except UnicodeDecodeError:
-        print(f"zonereach: cannot read {args.queries}: not UTF-8 text", file=sys.stderr)
-        return NO_FILE
+    lines: list[str] = list(args.query)
+    if args.queries is not None:
+        listed = _read(args.queries)
+        if listed is None:
+            return NO_FILE
+        lines.extend(listed.splitlines())
+    elif not args.query:
+        lines.extend(sys.stdin.read().splitlines())
     queries: list[tuple[str, Query]] = []
     failed = False
     for line in lines:
+        line = line.split("//", 1)[0].strip()
+        if not line:
+            continue
         try:
             queries.append((line, parse_query(line, net)))
         except ParseError as err:

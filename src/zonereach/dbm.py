@@ -113,12 +113,6 @@ class Dbm:
             raise ValueError("the empty zone has no cells")
         return self.cells[i * (len(self.clocks) + 1) + j]
 
-    def canonicalize(self) -> "Dbm":
-        """Re-close; a fixpoint for anything this module hands out."""
-        if self.cells is None:
-            return self
-        return Dbm.from_bounds(self.clocks, self.cells)
-
     def _closed(self, grid: list[int]) -> "Dbm":
         """The zone an edited copy of this zone's cells describes: this
         zone itself when no cell changed (it is canonical already), else
@@ -273,21 +267,6 @@ class Dbm:
                 elif raw < lower[j]:
                     grid[irow + j] = lower[j]
         return self._closed(grid)
-
-    def eliminate(self, clock: ClockId) -> "Dbm":
-        """Existentially quantify one clock.
-
-        On a closed matrix, deleting the row and column is the exact
-        projection, and the minor of a closed matrix is closed.
-        """
-        x = self._index(clock)
-        remaining = tuple(c for c in self.clocks if c != clock)
-        if self.cells is None:
-            return Dbm(remaining, None)
-        size = len(self.clocks) + 1
-        keep = [i for i in range(size) if i != x]
-        grid = tuple(self.cells[i * size + j] for i in keep for j in keep)
-        return Dbm(remaining, grid)
 
     def to_constraint(self) -> ClockConstraint:
         """Atoms describing the zone exactly; ``true`` for the universe.

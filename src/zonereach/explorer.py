@@ -8,7 +8,8 @@ computed per label: the automata listing the label in their alphabet
 all move (every combination of their enabled transitions), the rest
 stay.  Per combination the zone is constrained by the guards and
 reset, and then enters the target vector.  Entering a vector is one
-step, the same for the source zone and for every successor:
+step, ``Search.enter``, the same for the source zone and for every
+successor:
 
     constrain by the invariants -> elapse -> constrain by the
     invariants -> free the inactive clocks -> extrapolation past the
@@ -22,6 +23,12 @@ read it either; its value carries no information, so forgetting it
 is exact and merges zones that differ only there (Daws & Yovine,
 RTSS 1996).  Guards, invariants and goal constraints are applied to
 the zone directly with ``constrain``; no zone is built for them.
+
+A ``Search`` holds what one query derives from the network, the query
+and the options: the zone type, ``k``, and per location vector the
+invariant and the inactive clocks, each computed once.
+``root_state`` and ``successors`` take it, so ``explore`` and
+``replay_witness`` walk the same successor relation.
 
 The search is a plain worklist (LIFO or FIFO).  Every new state, the
 source state included, is goal-tested before the visited check, so a
@@ -39,7 +46,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .dbm import Dbm
 from .formula import Formula
@@ -122,76 +129,60 @@ class ExploreResult:
     reason: Optional[str] = None
 
 
-def _invariant(net: Network, vector: LocationVector) -> ClockConstraint:
-    """The conjunction of the invariants of a location vector."""
-    return ClockConstraint(
-        tuple(atom for aut, loc in zip(net.automata, vector) for atom in aut.invariants[loc].atoms)
-    )
+class Search:
+    """What one search derives from ``(net, query, options)``: the zone
+    type, the constants ``k`` (None: exact zones) and, per location
+    vector, its invariant and the clocks freed on entering it, which
+    never include the clocks the goal test reads."""
 
-
-class InactiveClocks(dict):
-    """Location vector -> the clocks freed on entering it, computed on
-    first use and kept for one search: every clock outside the active
-    sets of the vector's locations and outside ``keep``, the clocks the
-    goal test reads."""
-
-    def __init__(self, net: Network, keep: frozenset[ClockId]):
-        super().__init__()
+    def __init__(self, net: Network, query: Query, options: Optional[SearchOptions] = None):
+        if options is None:
+            options = SearchOptions()
         self.net = net
-        self.keep = keep
+        self.query = query
+        self.zone_type = ZONE_TYPES[options.backend]
+        self.k = max_constants(net, query) if options.extrapolate else None
+        self.keep = query.target.constraint.clocks
+        self._entries: dict = {}
 
-    def __missing__(self, vector: LocationVector) -> tuple[ClockId, ...]:
-        live = self.keep.union(*(table[loc] for table, loc in zip(self.net.active, vector)))
-        inactive = self[vector] = tuple(c for c in self.net.clocks if c not in live)
-        return inactive
+    def entry(self, vector: LocationVector) -> tuple[ClockConstraint, tuple[ClockId, ...]]:
+        """The vector's invariant and its inactive clocks, computed once."""
+        found = self._entries.get(vector)
+        if found is None:
+            net = self.net
+            invariants = (aut.invariants[loc] for aut, loc in zip(net.automata, vector))
+            invariant = ClockConstraint(tuple(atom for inv in invariants for atom in inv.atoms))
+            live = self.keep.union(*(table[loc] for table, loc in zip(net.active, vector)))
+            inactive = tuple(c for c in net.clocks if c not in live)
+            found = self._entries[vector] = (invariant, inactive)
+        return found
 
-
-def _enter(
-    net: Network,
-    vector: LocationVector,
-    zone: Zone,
-    k: Optional[Mapping[ClockId, int]],
-    inactive: InactiveClocks,
-) -> Optional[StateZone]:
-    """The stored state of a zone entering a location vector: the zone
-    constrained by the vector's invariant, delayed within it, its
-    inactive clocks freed, and widened past ``k`` unless ``k`` is None;
-    None when the invariant leaves nothing."""
-    invariant = _invariant(net, vector)
-    zone = zone.constrain(invariant)
-    if zone.is_empty():
-        return None
-    zone = zone.elapse().constrain(invariant).free(inactive[vector])
-    if k is not None:
-        zone = zone.extrapolate(k)
-    return StateZone(vector, zone)
-
-
-def root_state(
-    net: Network,
-    query: Query,
-    zone_type: type,
-    k: Optional[Mapping[ClockId, int]],
-    inactive: InactiveClocks,
-) -> Optional[StateZone]:
-    """The stored form of the source state, None when the source is empty.
-    ``k`` None means exact zones, with no extrapolation; ``inactive``
-    must keep the clocks of ``query.target``."""
-    zone = zone_type.from_constraint(query.source.constraint, net.clocks)
-    return _enter(net, query.source.locations, zone, k, inactive)
+    def enter(self, vector: LocationVector, zone: Zone) -> Optional[StateZone]:
+        """The stored state of a zone entering a location vector: the zone
+        constrained by the vector's invariant, delayed within it, its
+        inactive clocks freed, and widened past ``k`` unless ``k`` is None;
+        None when the invariant leaves nothing."""
+        invariant, inactive = self.entry(vector)
+        zone = zone.constrain(invariant)
+        if zone.is_empty():
+            return None
+        zone = zone.elapse().constrain(invariant).free(inactive)
+        if self.k is not None:
+            zone = zone.extrapolate(self.k)
+        return StateZone(vector, zone)
 
 
-def successors(
-    net: Network,
-    state: StateZone,
-    k: Optional[Mapping[ClockId, int]],
-    inactive: InactiveClocks,
-) -> Iterator[tuple[LabelId, StateZone]]:
+def root_state(search: Search) -> Optional[StateZone]:
+    """The stored form of the source state, None when the source is empty."""
+    source = search.query.source
+    zone = search.zone_type.from_constraint(source.constraint, search.net.clocks)
+    return search.enter(source.locations, zone)
+
+
+def successors(search: Search, state: StateZone) -> Iterator[tuple[LabelId, StateZone]]:
     """All label moves from a state, in the declaration order of
-    ``model.joint_moves``.  ``k`` None means exact zones, with no
-    extrapolation; ``inactive`` says which clocks each target vector
-    forgets."""
-    for label, moves in joint_moves(net, state.locations):
+    ``model.joint_moves``."""
+    for label, moves in joint_moves(search.net, state.locations):
         guard_atoms = []
         resets: list[ClockId] = []
         vector = list(state.locations)
@@ -202,7 +193,7 @@ def successors(
         zone = state.zone.constrain(ClockConstraint(tuple(guard_atoms)))
         if zone.is_empty():
             continue
-        succ = _enter(net, tuple(vector), zone.reset(resets), k, inactive)
+        succ = search.enter(tuple(vector), zone.reset(resets))
         if succ is not None:
             yield label, succ
 
@@ -264,15 +255,14 @@ def explore(net: Network, query: Query, options: Optional[SearchOptions] = None)
         options = SearchOptions()
     started = time.monotonic()
     deadline = None if options.max_seconds is None else started + options.max_seconds
-    k = max_constants(net, query) if options.extrapolate else None
+    search = Search(net, query, options)
     stats = SearchStats()
 
     def result(verdict, witness=None, reason=None):
         stats.seconds = time.monotonic() - started
         return ExploreResult(verdict, witness, stats, reason)
 
-    inactive = InactiveClocks(net, query.target.constraint.clocks)
-    root = root_state(net, query, ZONE_TYPES[options.backend], k, inactive)
+    root = root_state(search)
     if root is None:
         return result(Verdict.UNREACHABLE)
     visited = _Visited(options.subsumption)
@@ -296,7 +286,7 @@ def explore(net: Network, query: Query, options: Optional[SearchOptions] = None)
             return result(Verdict.INCONCLUSIVE, reason="time limit exceeded")
         node = worklist.pop() if options.order == "dfs" else worklist.popleft()
         stats.popped += 1
-        batch = list(successors(net, node.state, k, inactive))
+        batch = list(successors(search, node.state))
         if options.order == "dfs":
             # Reversed so the first-generated successor is explored first.
             batch.reverse()
@@ -307,11 +297,8 @@ def replay_witness(
 ) -> bool:
     """Check a label sequence: following exactly these labels from the
     source must end in a state satisfying the target."""
-    if options is None:
-        options = SearchOptions()
-    k = max_constants(net, query) if options.extrapolate else None
-    inactive = InactiveClocks(net, query.target.constraint.clocks)
-    root = root_state(net, query, ZONE_TYPES[options.backend], k, inactive)
+    search = Search(net, query, options)
+    root = root_state(search)
     if root is None:
         return False
     frontier = [root]
@@ -319,7 +306,7 @@ def replay_witness(
         frontier = [
             succ
             for state in frontier
-            for label, succ in successors(net, state, k, inactive)
+            for label, succ in successors(search, state)
             if label == wanted
         ]
         if not frontier:

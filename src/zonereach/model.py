@@ -17,6 +17,8 @@ from itertools import product
 from math import lcm
 from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
+from .bounds import MAX_CONSTANT
+
 
 class ClockId(NamedTuple):
     name: str
@@ -269,6 +271,8 @@ def _scaled_constraint(c: ClockConstraint, factor: int) -> ClockConstraint:
         const = atom.const * factor
         if const != int(const):
             raise ValueError(f"constant {atom.const} does not scale to an integer by {factor}")
+        if abs(const) > MAX_CONSTANT:
+            raise ValueError(f"constant {atom.const} exceeds {MAX_CONSTANT} once scaled by {factor}")
         atoms.append(atom._replace(const=int(const)))
     return ClockConstraint(tuple(atoms))
 
@@ -283,7 +287,9 @@ def normalize_constants(net: Network) -> Network:
     The verdict of a reachability question is invariant under scaling
     all constants (and implicitly all clock rates) by a common positive
     factor, so the checker only ever works on integer constants.
-    Already-integral networks pass through with scale 1.
+    Already-integral networks pass through with scale 1.  Raises
+    ``ValidationError`` naming a constant whose magnitude exceeds
+    ``bounds.MAX_CONSTANT`` once scaled.
     """
     denominators = [1]
     for aut in net.automata:
@@ -294,15 +300,13 @@ def normalize_constants(net: Network) -> Network:
     factor = lcm(*denominators)
     automata = []
     for aut in net.automata:
-        automata.append(
-            replace(
-                aut,
-                invariants={loc: _scaled_constraint(inv, factor) for loc, inv in aut.invariants.items()},
-                transitions=tuple(
-                    replace(t, guard=_scaled_constraint(t.guard, factor)) for t in aut.transitions
-                ),
-            )
-        )
+        try:
+            invariants = {loc: _scaled_constraint(inv, factor) for loc, inv in aut.invariants.items()}
+            guards = [_scaled_constraint(t.guard, factor) for t in aut.transitions]
+        except ValueError as err:  # a constant too large once scaled
+            raise ValidationError([str(err)]) from None
+        transitions = tuple(replace(t, guard=g) for t, g in zip(aut.transitions, guards))
+        automata.append(replace(aut, invariants=invariants, transitions=transitions))
     return replace(net, automata=tuple(automata), scale=net.scale * factor)
 
 
@@ -310,7 +314,8 @@ def scale_constraint(c: ClockConstraint, net: Network) -> ClockConstraint:
     """Bring a query-side constraint onto the network's integer scale.
 
     Raises ValueError when a constant cannot be represented at that
-    scale (for example 0.5 against a network whose scale is 1).
+    scale (for example 0.5 against a network whose scale is 1) or its
+    magnitude exceeds ``bounds.MAX_CONSTANT`` there.
     """
     return _scaled_constraint(c, net.scale)
 

@@ -120,6 +120,27 @@ def test_missing_query_file(run, tmp_path):
     assert err.startswith(f"zonereach: cannot read {absent}: ") and err.count("\n") == 1
 
 
+def test_constant_near_the_bound_sentinel_is_refused(run, tmp_path):
+    # 2 * c + 1 is past INF here, so the invariant used to read as no
+    # bound and the target X > 7 * 10**17 was answered True
+    huge = tmp_path / "huge.ta"
+    huge.write_text(
+        "specification huge\nClocks X nil\nStates s nil\nLabels a nil\nAutomata\n"
+        "  ( Locations s nil\n    Labels a nil\n"
+        "    Invariants s : X<=600000000000000000 ^ true nil\n"
+        "    Transitions nil\n  ) .\n  nil\nend\n"
+    )
+    query = "go(s.nil/true, s.nil/X>700000000000000000 ^ true)"
+    for flags in ((), ("--backend", "formula", "--no-extrapolate"), ("--selftest",)):
+        code, out, err = run(huge, "--query", query, *flags)
+        assert code == cli.BAD_INPUT and out == ""
+        assert err.startswith(f"{huge}: constant 600000000000000000 exceeds ")
+    query = "go(Far.Up.u0.nil/true, Far.Up.u0.nil/X>2000000000000 ^ true)"
+    code, out, err = run(TRAIN_PATH, "--query", query)
+    assert code == cli.BAD_INPUT and out == ""
+    assert err.startswith(f"query {query!r}: line 1, col 60: constant 2000000000000 exceeds ")
+
+
 def test_faithful_still_answers_the_bounded_system(run):
     code, out, _ = run(
         TRAIN_PATH, "--subsume", "equal", "--no-extrapolate", "--queries", QUERIES_PATH

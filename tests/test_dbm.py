@@ -67,14 +67,6 @@ def test_extrapolate_forgets_beyond_the_constant():
     assert e.to_constraint().atoms == (Atom(X, None, ">", 5),)
 
 
-def test_eliminate_is_the_exact_projection():
-    z = zone(Atom(X, Y, "<=", 2), Atom(Y, None, "<=", 3))
-    p = z.eliminate(Y)
-    assert p.clocks == (X,)
-    assert p.cells == (1, 1, 11, 1)
-    assert p.to_constraint().atoms == (Atom(X, None, "<=", 5),)
-
-
 def test_free_forgets_one_clock_and_keeps_what_it_implied():
     # freeing y in {x - y <= 2, y <= 3} keeps the derived x <= 5
     z = zone(Atom(X, Y, "<=", 2), Atom(Y, None, "<=", 3))
@@ -168,7 +160,8 @@ def test_canonical_form_is_unique():
         z1 = Dbm.from_constraint(c, clocks)
         z2 = Dbm.from_constraint(ClockConstraint(tuple(atoms)), clocks)
         assert z1.cells == z2.cells
-        assert z1.canonicalize().cells == z1.cells  # closure is idempotent
+        if z1.cells is not None:  # closure is idempotent
+            assert Dbm.from_bounds(clocks, z1.cells).cells == z1.cells
 
 
 def test_includes_is_a_partial_order():
@@ -229,7 +222,8 @@ def test_reset_composes_clock_by_clock():
         joint = z.reset(pair)
         assert joint.cells == z.reset([pair[0]]).reset([pair[1]]).cells
         assert joint.cells == z.reset([pair[1]]).reset([pair[0]]).cells
-        assert joint.canonicalize().cells == joint.cells  # reset keeps closure
+        if joint.cells is not None:  # reset keeps closure
+            assert Dbm.from_bounds(clocks, joint.cells).cells == joint.cells
 
 
 def test_constrain_is_intersection_with_the_constraint_zone():
@@ -322,18 +316,10 @@ def test_free_grows_stays_canonical_and_composes():
         a, b = rng.sample(clocks, 2)
         f = z.free([a])
         assert f.includes(z)
-        assert f.canonicalize().cells == f.cells
+        if f.cells is not None:
+            assert Dbm.from_bounds(clocks, f.cells).cells == f.cells
         assert f.free([a]).cells == f.cells
         assert f.free([b]).cells == z.free([b, a]).cells == z.free([b]).free([a]).cells
-
-
-def test_eliminate_commutes():
-    rng = random.Random(29)
-    for _ in range(150):
-        clocks = make_clocks(rng.randint(2, 4))
-        z = random_zone(rng, clocks)
-        a, b = rng.sample(clocks, 2)
-        assert z.eliminate(a).eliminate(b).cells == z.eliminate(b).eliminate(a).cells
 
 
 def test_to_constraint_roundtrips():
@@ -362,11 +348,4 @@ def test_grid_membership_matches_the_oracle():
         assert np.array_equal(dbm_mask(z1.elapse(), pts), elapse_mask(c1, clocks, pts))
         var = rng.choice(clocks)
         assert np.array_equal(dbm_mask(z1.reset([var]), pts), reset_mask(c1, clocks, var, pts))
-        rest = tuple(c for c in clocks if c != var)
-        if rest:
-            sub = grid(len(rest))
-            full = np.zeros((len(sub), n), dtype=np.int64)
-            for i, c in enumerate(rest):
-                full[:, c.index] = sub[:, i]
-            assert np.array_equal(dbm_mask(z1.eliminate(var), sub), exists_mask(c1, clocks, var, full))
         assert np.array_equal(dbm_mask(z1.free([var]), pts), exists_mask(c1, clocks, var, pts))

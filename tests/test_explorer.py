@@ -7,6 +7,7 @@ each step frees the clock no automaton reads before resetting it).
 """
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from zonereach import parse_query, parse_spec
 from zonereach.bounds import INF
 from zonereach.dbm import Dbm
 from zonereach.explorer import (
-    InactiveClocks,
+    Search,
     SearchOptions,
     StateZone,
     Verdict,
@@ -34,7 +35,6 @@ from zonereach.model import (
     Network,
     Query,
     StatePattern,
-    max_constants,
     normalize_constants,
     validate,
 )
@@ -69,9 +69,12 @@ def unreduced(monkeypatch):
     return run
 
 
+INSIDE = "go(Far.Up.u0.nil/true, In.Down.u0.nil/true)"
+
+
 @pytest.fixture(scope="module")
 def queries(train_net):
-    inside = parse_query("go(Far.Up.u0.nil/true, In.Down.u0.nil/true)", train_net)
+    inside = parse_query(INSIDE, train_net)
     unsafe = parse_query("go(Far.Up.u0.nil/true, In.Up.u0.nil/true)", train_net)
     return inside, unsafe
 
@@ -103,13 +106,12 @@ def test_replay_rejects_wrong_sequences(train_net, queries):
 
 def test_first_two_successor_zones_frozen(train_net, queries):
     inside, _ = queries
-    k = max_constants(train_net, inside)
-    inactive = InactiveClocks(train_net, inside.target.constraint.clocks)
-    root = root_state(train_net, inside, Dbm, k, inactive)
+    search = Search(train_net, inside)
+    root = root_state(search)
     # constraint true and no source invariant: the root zone is the whole orthant
     assert root.zone.cells == Dbm.universe(train_net.clocks).cells
 
-    first = list(successors(train_net, root, k, inactive))
+    first = list(successors(search, root))
     assert len(first) == 1
     label, state = first[0]
     assert label.name == "app" and names(state.locations) == ["Near", "Up", "u1"]
@@ -118,7 +120,7 @@ def test_first_two_successor_zones_frozen(train_net, queries):
     # copy of column 0 (X - Y <= 1 and Z - Y <= 1, where Y - X >= 0 was)
     assert state.zone.cells == (1, 1, 1, 1, 3, 1, 3, 1, INF, INF, 1, INF, 3, 1, 3, 1)
 
-    second = list(successors(train_net, state, k, inactive))
+    second = list(successors(search, state))
     assert len(second) == 1
     label, state = second[0]
     assert label.name == "lower" and names(state.locations) == ["Near", "t1", "u0"]
@@ -130,15 +132,17 @@ def test_first_two_successor_zones_frozen(train_net, queries):
 
 def test_exact_successors_follow_the_unwidened_pipeline(diverging_net):
     q = parse_query("go(s0.nil/x=0 ^ y=0 ^ true, s0.nil/x-y>0 ^ true)", diverging_net)
-    k = max_constants(diverging_net, q)
+    exact_search = Search(diverging_net, q, SearchOptions(extrapolate=False))
+    widening = Search(diverging_net, q)
+    assert exact_search.k is None
+    k = widening.k
     (aut,) = diverging_net.automata
     (tick,) = aut.transitions
     invariant = aut.invariants[tick.target]
-    inactive = InactiveClocks(diverging_net, q.target.constraint.clocks)
-    state = root_state(diverging_net, q, Dbm, None, inactive)
+    state = root_state(exact_search)
     for _ in range(3):
-        ((_, exact),) = successors(diverging_net, state, None, inactive)
-        ((_, widened),) = successors(diverging_net, state, k, inactive)
+        ((_, exact),) = successors(exact_search, state)
+        ((_, widened),) = successors(widening, state)
         pipeline = (
             state.zone.constrain(tick.guard).reset(tick.resets)
             .constrain(invariant).elapse().constrain(invariant)
@@ -257,9 +261,17 @@ def test_inactive_clocks_leave_the_goal_clocks_alone(train_net, unreduced):
             assert unreduced(explore, train_net, q, options).verdict is verdict
             if verdict is Verdict.REACHABLE:
                 assert replay_witness(train_net, q, result.witness, options)
-    first = parse_query(next(iter(cases)), train_net).target
-    assert names(InactiveClocks(train_net, frozenset())[first.locations]) == ["Y", "Z"]
-    assert names(InactiveClocks(train_net, first.constraint.clocks)[first.locations]) == ["Y"]
+    vectors = list(itertools.product(*(aut.locations for aut in train_net.automata)))
+    for text in cases:
+        q = parse_query(text, train_net)
+        search = Search(train_net, q)
+        for vector in vectors:
+            assert q.target.constraint.clocks.isdisjoint(search.entry(vector)[1])
+    first = parse_query(next(iter(cases)), train_net)
+    clockless = parse_query(INSIDE, train_net)
+    assert first.target.locations == clockless.target.locations
+    assert names(Search(train_net, clockless).entry(first.target.locations)[1]) == ["Y", "Z"]
+    assert names(Search(train_net, first).entry(first.target.locations)[1]) == ["Y"]
 
 
 def _random_query(rng, net):

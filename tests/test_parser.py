@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import LITERAL_PATH, TRAIN_PATH
+from zonereach.bounds import MAX_CONSTANT
 from zonereach.model import (
     Atom,
     Automaton,
@@ -252,6 +253,32 @@ def test_query_constants_follow_the_network_scale():
     assert net.scale == 2
     q = parse_query("go(a.nil/X>1.5 ^ true, b.nil/true)", net)
     assert q.source.constraint.atoms[0].const == 3
+
+
+def test_constants_past_the_bound_limit_are_refused():
+    # the raw bound 2 * c + 1 of a larger constant may reach the INF
+    # sentinel, and the guard or invariant would then read as no bound
+    assert guard_atoms("X", f"X<={MAX_CONSTANT} ^ true")[1][0].const == MAX_CONSTANT
+    too_big = [
+        (f"X<={MAX_CONSTANT + 1} ^ true", str(MAX_CONSTANT + 1)),
+        ("X<=600000000000000000 ^ true", "600000000000000000"),
+        (f"X-Y>-{MAX_CONSTANT + 1} ^ true", str(-MAX_CONSTANT - 1)),
+        (f"X<0.5 ^ X>{MAX_CONSTANT // 2 + 1} ^ true", "once scaled by 2"),
+    ]
+    for guard, fragment in too_big:
+        with pytest.raises(ValidationError) as err:
+            parse_spec(SKELETON.format(clocks="X Y", guard=guard))
+        (diag,) = err.value.diagnostics
+        assert fragment in diag and "exceeds" in diag, guard
+
+    net = parse_spec(SKELETON.format(clocks="X", guard="X<=0.5 ^ true"))
+    for text in (f"go(a.nil/true, b.nil/X>{MAX_CONSTANT + 1} ^ true)",
+                 f"go(a.nil/X<{MAX_CONSTANT // 2 + 1} ^ true, b.nil/true)"):
+        with pytest.raises(ParseError) as err:
+            parse_query(text, net)
+        (diag,) = err.value.diagnostics
+        assert "exceeds" in diag.message and diag.line == 1 and diag.col > 1, text
+    assert parse_query(f"go(a.nil/true, b.nil/X>{MAX_CONSTANT // 2} ^ true)", net)
 
 
 # -- fuzzing --------------------------------------------------------------------
