@@ -25,9 +25,11 @@ result = explore(net, query, capped)
 print(f"exact zones, cap at 10000:  {result.verdict} ({result.reason}, "
       f"stored={result.stats.stored})")
 
-# Extrapolation erases bounds beyond each clock's largest constant
-# (here k(x)=1, k(y)=0), so the growing family collapses to one zone
-# and the loop closes after two stored states.
+# The target x-y>0 compares two clocks, so the search widens stored
+# zones with Extra_M: it erases bounds beyond each clock's largest
+# constant (here k(x)=1, k(y)=0), the growing family collapses to one
+# zone and the loop closes after two stored states.  (Without diagonal
+# atoms, stored zones stay exact and Extra+_LU only decides pruning.)
 result = explore(net, query)
 print(f"with extrapolation:         {result.verdict} "
       f"(stored={result.stats.stored}, popped={result.stats.popped})")

@@ -37,7 +37,8 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--subsume", choices=("equal", "include"), default="include",
                    help="visited-state pruning (default: include)")
     p.add_argument("--no-extrapolate", action="store_true",
-                   help="disable maximum-constant coarsening (termination not guaranteed)")
+                   help="no abstraction: prune only by exact zones "
+                        "(termination not guaranteed)")
     p.add_argument("--stats", action="store_true", help="print a stats line per query")
     p.add_argument("--witness", action="store_true",
                    help="print the label sequence for reachable targets")

@@ -268,6 +268,44 @@ class Dbm:
                     grid[irow + j] = lower[j]
         return self._closed(grid)
 
+    def extrapolate_lu(self, lower: Mapping[ClockId, int], upper: Mapping[ClockId, int]) -> "Dbm":
+        """Extra⁺_LU (Behrmann, Bouyer, Larsen & Pelánek 2006) with the
+        per-clock lower-bound constants L and upper-bound constants U.
+
+        Off the diagonal, cell (i, j) becomes unbounded when it exceeds
+        L(xi), or when xi's lower bound does; else, when xj's lower bound
+        exceeds U(xj), it becomes unbounded (i > 0) or strictly beyond
+        U(xj) (i = 0); the conditions read the cells of this zone.  A
+        full O(n³) closure follows when a cell changed.  The result
+        contains this zone, and it is sound for subsumption only without
+        diagonal constraints.
+        """
+        if self.cells is None:
+            return self
+        size = len(self.clocks) + 1
+        cells = self.cells
+        # value(raw) > L(xi) is raw > (L, <=); a lower bound beyond a
+        # constant c is a row 0 cell below (-c, <).  Row 0 is never above
+        # (0, <=), so it needs no L.
+        above_l = [INF] + [bound(lower[c], strict=False) for c in self.clocks]
+        beyond_u = [-INF] + [bound(-upper[c], strict=True) for c in self.clocks]
+        row_free = [False] + [cells[i] < bound(-lower[c], strict=True)
+                              for i, c in enumerate(self.clocks, 1)]
+        column_free = [cells[j] < beyond_u[j] for j in range(size)]
+        grid = list(cells)
+        for i in range(size):
+            irow = i * size
+            up = above_l[i]
+            for j in range(size):
+                raw = cells[irow + j]
+                if i == j or raw == INF:
+                    continue
+                if row_free[i] or raw > up:
+                    grid[irow + j] = INF
+                elif column_free[j]:
+                    grid[irow + j] = beyond_u[j] if i == 0 else INF
+        return self._closed(grid)
+
     def to_constraint(self) -> ClockConstraint:
         """Atoms describing the zone exactly; ``true`` for the universe.
 

@@ -11,33 +11,45 @@ reset, and then enters the target vector.  Entering a vector is one
 step, ``Search.enter``, the same for the source zone and for every
 successor:
 
-    constrain by the invariants -> elapse -> constrain by the
-    invariants -> free the inactive clocks -> extrapolation past the
-    maximum constants ``k``
+    constrain by the invariants -> empty? -> elapse -> constrain by
+    the invariants -> free the inactive clocks
 
 where the double invariant constraint is exact because invariants
-are convex, and ``k`` None means exact zones, with no extrapolation.
-A clock is inactive at a vector when no automaton reads it before
-resetting it (``Network.active``) and the goal constraint does not
-read it either; its value carries no information, so forgetting it
-is exact and merges zones that differ only there (Daws & Yovine,
-RTSS 1996).  Guards, invariants and goal constraints are applied to
-the zone directly with ``constrain``; no zone is built for them.
+are convex.  A clock is inactive at a vector when no automaton reads
+it before resetting it (``Network.active``) and the goal constraint
+does not read it either; its value carries no information, so
+forgetting it is exact and merges zones that differ only there (Daws
+& Yovine, RTSS 1996).  Guards, invariants and goal constraints are
+applied to the zone directly with ``constrain``; no zone is built for
+them.
+
+Stored zones are therefore exact, and the abstraction that makes the
+search finite sits in the subsumption test only (Herbreteau,
+Srivathsan & Walukiewicz, LICS 2012): a new zone Z is pruned when
+Z ⊆ Extra⁺_LU(Z') for a zone Z' stored at the same vector, with that
+vector's lower and upper bound constants L and U (Behrmann, Bouyer,
+Larsen & Pelánek, 2006).  Extra⁺_LU(Z') is computed once per stored
+zone, the first time a new zone is compared against it.  LU is
+unsound with diagonal atoms (``x - y # c``); where a guard, an
+invariant or the target has one, entering a vector ends with the
+widening past the maximum constants ``k`` instead (Extra_M), and
+stored zones are compared as they are.  ``SearchOptions(extrapolate=
+False)`` uses neither abstraction.
 
 A ``Search`` holds what one query derives from the network, the query
-and the options: the zone type, ``k``, and per location vector the
-invariant and the inactive clocks, each computed once.
-``root_state`` and ``successors`` take it, so ``explore`` and
-``replay_witness`` walk the same successor relation.
+and the options: the zone type, the abstraction, and per location
+vector the invariant, the inactive clocks and the L and U bounds,
+each computed once.  ``root_state`` and ``successors`` take it, so
+``explore`` and ``replay_witness`` walk the same successor relation.
 
 The search is a plain worklist (LIFO or FIFO).  Every new state, the
 source state included, is goal-tested before the visited check, so a
 goal is reported even when the state would have been pruned; then it
 is pruned, checked against the zone limit and stored.  Visited states
-are pruned either by zone equality or by inclusion in an
-already-stored zone; with extrapolation switched on the zone lattice
-per location vector is finite and the search terminates.
-"""
+are pruned either by equality of the zones' abstractions or by
+inclusion in the abstraction of an already-stored zone; with
+extrapolation switched on the abstractions per location vector are
+finitely many and the search terminates."""
 
 from __future__ import annotations
 
@@ -46,7 +58,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .dbm import Dbm
 from .formula import Formula
@@ -131,9 +143,17 @@ class ExploreResult:
 
 class Search:
     """What one search derives from ``(net, query, options)``: the zone
-    type, the constants ``k`` (None: exact zones) and, per location
-    vector, its invariant and the clocks freed on entering it, which
-    never include the clocks the goal test reads."""
+    type, per location vector its invariant and the clocks freed on
+    entering it, which never include the clocks the goal test reads,
+    and the abstraction in use.
+
+    Without diagonal atoms in the network's guards and invariants or in
+    the target, stored zones stay exact and ``lu`` is set: a vector's L
+    and U bounds (``bounds``) drive Extra⁺_LU in the subsumption test.
+    With them, LU is unsound and stored zones are widened past the
+    maximum constants ``k`` on entry instead (Extra_M).  Under
+    ``SearchOptions(extrapolate=False)`` there is neither: ``k`` is None
+    and ``lu`` is False."""
 
     def __init__(self, net: Network, query: Query, options: Optional[SearchOptions] = None):
         if options is None:
@@ -141,9 +161,13 @@ class Search:
         self.net = net
         self.query = query
         self.zone_type = ZONE_TYPES[options.backend]
-        self.k = max_constants(net, query) if options.extrapolate else None
-        self.keep = query.target.constraint.clocks
+        target = query.target.constraint
+        self.keep = target.clocks
+        diagonal = net.has_diagonal or any(atom.rhs is not None for atom in target.atoms)
+        self.k = max_constants(net, query) if options.extrapolate and diagonal else None
+        self.lu = options.extrapolate and not diagonal
         self._entries: dict = {}
+        self._bounds: dict = {}
 
     def entry(self, vector: LocationVector) -> tuple[ClockConstraint, tuple[ClockId, ...]]:
         """The vector's invariant and its inactive clocks, computed once."""
@@ -156,6 +180,30 @@ class Search:
             inactive = tuple(c for c in net.clocks if c not in live)
             found = self._entries[vector] = (invariant, inactive)
         return found
+
+    def bounds(self, vector: LocationVector) -> tuple[dict[ClockId, int], dict[ClockId, int]]:
+        """The vector's L and U, computed once: per clock the largest
+        bound at any of its locations (``Network.lu_bounds``), at least
+        the magnitude of every target atom on the clock, and 0 where
+        there is no constant."""
+        found = self._bounds.get(vector)
+        if found is None:
+            lower = {clock: 0 for clock in self.net.clocks}
+            for atom in self.query.target.constraint.atoms:
+                lower[atom.lhs] = max(lower[atom.lhs], abs(int(atom.const)))
+            upper = dict(lower)
+            for table, loc in zip(self.net.lu_bounds, vector):
+                for clock, (low, up) in table[loc].items():
+                    if low is not None and low > lower[clock]:
+                        lower[clock] = low
+                    if up is not None and up > upper[clock]:
+                        upper[clock] = up
+            found = self._bounds[vector] = (lower, upper)
+        return found
+
+    def abstraction(self, vector: LocationVector, zone: Zone) -> Zone:
+        """Extra⁺_LU of a zone at a vector, with the vector's bounds."""
+        return zone.extrapolate_lu(*self.bounds(vector))
 
     def enter(self, vector: LocationVector, zone: Zone) -> Optional[StateZone]:
         """The stored state of a zone entering a location vector: the zone
@@ -206,26 +254,43 @@ def is_goal(state: StateZone, target: StatePattern) -> bool:
 
 
 class _Visited:
-    """Per-location-vector store with equality or inclusion pruning."""
+    """Per-location-vector store.  A new zone is pruned when it lies
+    inside the abstraction of a zone stored at the same vector
+    (``include``), or when the two zones' abstractions are equal
+    (``equal``).  The abstraction is ``abstract(vector, zone)``, or the
+    zone itself when ``abstract`` is None.  Buckets hold ``[zone,
+    abstraction-or-None]``: a stored zone's abstraction is computed the
+    first time a new zone is compared against it, then kept."""
 
-    def __init__(self, mode: str):
+    def __init__(self, mode: str, abstract: Optional[Callable[[LocationVector, Zone], Zone]] = None):
         self.mode = mode
+        self.abstract = abstract
         self.keys: set = set()
-        self.zones: dict[LocationVector, list] = {}
+        self.zones: dict[LocationVector, list[list]] = {}
+        self._key = None
+
+    def _abstraction(self, vector: LocationVector, zone: Zone) -> Zone:
+        return zone if self.abstract is None else self.abstract(vector, zone)
 
     def subsumed(self, state: StateZone) -> bool:
+        vector, zone = state.locations, state.zone
         if self.mode == "equal":
-            return (state.locations, state.zone.key) in self.keys
-        bucket = self.zones.get(state.locations)
-        if not bucket:
-            return False
-        return any(old.includes(state.zone) for old in bucket)
+            self._key = (vector, self._abstraction(vector, zone).key)
+            return self._key in self.keys
+        for stored in self.zones.get(vector, ()):
+            wide = stored[1]
+            if wide is None:
+                wide = stored[1] = self._abstraction(vector, stored[0])
+            if wide.includes(zone):
+                return True
+        return False
 
     def add(self, state: StateZone) -> None:
+        """Store the state ``subsumed`` was last asked about."""
         if self.mode == "equal":
-            self.keys.add((state.locations, state.zone.key))
+            self.keys.add(self._key)
         else:
-            self.zones.setdefault(state.locations, []).append(state.zone)
+            self.zones.setdefault(state.locations, []).append([state.zone, None])
 
 
 @dataclass
@@ -265,7 +330,7 @@ def explore(net: Network, query: Query, options: Optional[SearchOptions] = None)
     root = root_state(search)
     if root is None:
         return result(Verdict.UNREACHABLE)
-    visited = _Visited(options.subsumption)
+    visited = _Visited(options.subsumption, search.abstraction if search.lu else None)
     worklist: deque[_Node] = deque()
     node, batch = None, [(None, root)]  # the root is offered like any successor
     while True:

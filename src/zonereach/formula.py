@@ -92,6 +92,9 @@ class Formula:
     def extrapolate(self, k: Mapping[ClockId, int]) -> "Formula":
         return fm_extrapolate(self, k)
 
+    def extrapolate_lu(self, lower: Mapping[ClockId, int], upper: Mapping[ClockId, int]) -> "Formula":
+        return fm_extrapolate_lu(self, lower, upper)
+
     def includes(self, other: "Formula") -> bool:
         """Cellwise on the tightest-bounds form, which is canonical."""
         mine, theirs = self.closed_cells, other.closed_cells
@@ -319,6 +322,43 @@ def fm_extrapolate(f: Formula, k: Mapping[ClockId, int]) -> Formula:
                 continue
             if j > 0 and value(raw) < -limit[j]:
                 raw = bound(-limit[j], strict=True)
+            items.append(LinearAtom(sides[i], sides[j], raw))
+    return make_formula(f.clocks, items)
+
+
+def fm_extrapolate_lu(
+    f: Formula, lower: Mapping[ClockId, int], upper: Mapping[ClockId, int]
+) -> Formula:
+    """Extra⁺_LU (Behrmann, Bouyer, Larsen & Pelánek 2006): the case
+    table applied to the closed bounds, like ``fm_extrapolate``.
+
+    A bound on ``xi - xj`` is dropped when its value exceeds L(xi), or
+    when the lower bound of xi does; otherwise, when the lower bound of
+    xj exceeds U(xj), it is dropped too, except the lower bound of xj
+    itself, which becomes ``xj > U(xj)``.
+    """
+    cells = f.closed_cells
+    if cells is None:
+        return Formula(f.clocks, (), True)
+    size = len(f.clocks) + 1
+    sides: list[Optional[ClockId]] = [None, *f.clocks]
+
+    def lower_bound(i: int) -> int:
+        """The value of clock i's lower bound (0 for the reference)."""
+        return -value(cells[i]) if i > 0 else 0
+
+    items = []
+    for i in range(size):
+        for j in range(size):
+            raw = cells[i * size + j]
+            if i == j or raw == INF:
+                continue
+            if i > 0 and (value(raw) > lower[sides[i]] or lower_bound(i) > lower[sides[i]]):
+                continue
+            if j > 0 and lower_bound(j) > upper[sides[j]]:
+                if i > 0:
+                    continue
+                raw = bound(-upper[sides[j]], strict=True)
             items.append(LinearAtom(sides[i], sides[j], raw))
     return make_formula(f.clocks, items)
 

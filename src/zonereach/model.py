@@ -139,29 +139,83 @@ class Network:
         return {key: tuple(ts) for key, ts in table.items()}
 
     @cached_property
+    def lu_bounds(self) -> tuple[dict[LocationId, dict[ClockId, LUBound]], ...]:
+        """Per automaton: location -> {clock: (L, U)}, the largest
+        constants the automaton may compare the clock against from below
+        (L) and from above (U) there or later, before it resets the clock
+        (Behrmann, Bouyer, Larsen & Pelánek, 2006); None where it never
+        does.  A clock without an entry is read nowhere ahead."""
+        return tuple(_lu_bounds(aut) for aut in self.automata)
+
+    @cached_property
     def active(self) -> tuple[dict[LocationId, frozenset[ClockId]], ...]:
         """Per automaton: location -> its active clocks (Daws & Yovine,
-        RTSS 1996), those it may read before it resets them.  The others
-        carry no information there."""
-        return tuple(_active_clocks(aut) for aut in self.automata)
+        RTSS 1996), those it may read before it resets them: the clocks
+        with an entry in ``lu_bounds``.  The others carry no information
+        there."""
+        return tuple({loc: frozenset(table) for loc, table in lu.items()} for lu in self.lu_bounds)
+
+    @cached_property
+    def has_diagonal(self) -> bool:
+        """Does some invariant or guard compare two clocks (``x - y # c``)?"""
+        constraints = [c for aut in self.automata for c in aut.invariants.values()]
+        constraints += [t.guard for aut in self.automata for t in aut.transitions]
+        return any(atom.rhs is not None for c in constraints for atom in c.atoms)
 
 
-def _active_clocks(aut: Automaton) -> dict[LocationId, frozenset[ClockId]]:
-    """A clock is active at a location when the location's invariant or
-    an outgoing guard reads it, or when an outgoing transition that does
-    not reset it leads to a location where it is active; a fixpoint."""
-    active = {loc: set(aut.invariants[loc].clocks) for loc in aut.locations}
+# (L, U) of one clock at one location; None where no atom bounds it that way.
+LUBound = tuple[Optional[int], Optional[int]]
+
+
+def _joined(a: Optional[int], b: Optional[int]) -> Optional[int]:
+    return a if b is None else b if a is None else max(a, b)
+
+
+def _atom_bounds(atom: Atom) -> Iterator[tuple[ClockId, LUBound]]:
+    """The (L, U) an atom contributes to each clock it reads, constants
+    by magnitude: ``>``, ``>=`` bound the clock from below, ``<``, ``<=``
+    from above, ``=`` both ways, and a difference atom feeds both ways
+    to both of its clocks."""
+    magnitude = abs(int(atom.const))
+    if atom.rhs is not None:
+        yield atom.lhs, (magnitude, magnitude)
+        yield atom.rhs, (magnitude, magnitude)
+    else:
+        lower = magnitude if atom.op in (">", ">=", "=") else None
+        upper = magnitude if atom.op in ("<", "<=", "=") else None
+        yield atom.lhs, (lower, upper)
+
+
+def _lu_bounds(aut: Automaton) -> dict[LocationId, dict[ClockId, LUBound]]:
+    """A location's (L, U) takes in the atoms of its invariant and of its
+    outgoing guards, and the (L, U) of every clock an outgoing
+    transition carries unreset to its target; a fixpoint."""
+    table: dict[LocationId, dict[ClockId, LUBound]] = {loc: {} for loc in aut.locations}
+
+    def feed(loc: LocationId, clock: ClockId, lu: LUBound) -> bool:
+        held = table[loc].get(clock)
+        joined = lu if held is None else (_joined(held[0], lu[0]), _joined(held[1], lu[1]))
+        if joined == held:
+            return False
+        table[loc][clock] = joined
+        return True
+
+    for loc in aut.locations:
+        for atom in aut.invariants[loc].atoms:
+            for clock, lu in _atom_bounds(atom):
+                feed(loc, clock, lu)
     for t in aut.transitions:
-        active[t.source] |= t.guard.clocks
+        for atom in t.guard.atoms:
+            for clock, lu in _atom_bounds(atom):
+                feed(t.source, clock, lu)
     changed = True
     while changed:
         changed = False
         for t in aut.transitions:
-            carried = active[t.target].difference(t.resets, active[t.source])
-            if carried:
-                active[t.source] |= carried
-                changed = True
-    return {loc: frozenset(clocks) for loc, clocks in active.items()}
+            for clock, lu in list(table[t.target].items()):
+                if clock not in t.resets and feed(t.source, clock, lu):
+                    changed = True
+    return table
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,10 @@ TRAIN_PATH = SPECS / "train_gate_controller.ta"
 DIVERGING_PATH = SPECS / "diverging_loop.ta"
 QUERIES_PATH = SPECS / "train_queries.txt"
 LITERAL_PATH = Path(__file__).parent / "data" / "train_literal.ta"
+
+# The benchmark's input generators (``gen.fischer_spec`` and friends)
+# are importable as ``gen``; appended, so they shadow nothing.
+sys.path.append(str(REPO / "bench"))
 
 
 @pytest.fixture(scope="session")

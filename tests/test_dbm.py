@@ -308,6 +308,85 @@ def test_extrapolate_matches_its_definition():
     assert changed > 100
 
 
+def reference_extrapolate_lu(z, lower, upper):
+    """Extra⁺_LU from the case table of Behrmann, Bouyer, Larsen &
+    Pelánek (2006), on bound values, then a full closure.  With c the
+    bounds of z and x0 the reference clock, cell (i, j), i != j, is
+
+        INF         if c_ij > L(xi)
+        INF         if -c_0i > L(xi)
+        INF         if -c_0j > U(xj) and i != 0
+        (-U(xj), <) if -c_0j > U(xj) and i == 0
+        c_ij        otherwise
+
+    where L(x0) = U(x0) = 0."""
+    size = len(z.clocks) + 1
+    big_l = [0] + [lower[c] for c in z.clocks]
+    big_u = [0] + [upper[c] for c in z.clocks]
+    c = z.cells
+    grid = list(c)
+    for i in range(size):
+        for j in range(size):
+            raw = c[i * size + j]
+            if i == j or raw == INF:
+                continue
+            if value(raw) > big_l[i] or -value(c[i]) > big_l[i]:
+                grid[i * size + j] = INF
+            elif -value(c[j]) > big_u[j]:
+                grid[i * size + j] = INF if i else bound(-big_u[j], strict=True)
+    return Dbm.from_bounds(z.clocks, grid)
+
+
+def random_bounds(rng, clocks):
+    """L and U per clock, often 0 and sometimes far apart."""
+    return ({c: rng.choice((0, 0, 1, 2, 3, 5, 8)) for c in clocks},
+            {c: rng.choice((0, 0, 1, 2, 3, 5, 8)) for c in clocks})
+
+
+def test_extrapolate_lu_matches_its_definition():
+    rng = random.Random(61)
+    changed = 0
+    for _ in range(400):
+        clocks = make_clocks(rng.randint(1, 6))
+        z = random_zone(rng, clocks)
+        if rng.random() < 0.5:
+            z = z.elapse()
+        if z.cells is None:
+            continue
+        lower, upper = random_bounds(rng, clocks)
+        got = z.extrapolate_lu(lower, upper)
+        assert got.cells == reference_extrapolate_lu(z, lower, upper).cells
+        changed += got is not z
+    assert changed > 100
+    assert Dbm(CL, None).extrapolate_lu({X: 0, Y: 0}, {X: 0, Y: 0}).is_empty()
+
+
+def test_extrapolate_lu_grows_and_is_idempotent():
+    rng = random.Random(67)
+    for _ in range(300):
+        clocks = make_clocks(rng.randint(1, 4))
+        z = random_zone(rng, clocks)
+        if rng.random() < 0.5:
+            z = z.elapse()
+        lower, upper = random_bounds(rng, clocks)
+        e = z.extrapolate_lu(lower, upper)
+        assert e.includes(z)
+        assert e.extrapolate_lu(lower, upper).cells == e.cells
+
+
+def test_extrapolate_lu_with_separate_bounds():
+    # x in [4, 6] with L(x) = 5, U(x) = 3: the upper bound 6 exceeds L and
+    # goes, the lower bound 4 exceeds U and becomes x > 3
+    z = zone(Atom(X, None, ">=", 4), Atom(X, None, "<=", 6))
+    e = z.extrapolate_lu({X: 5, Y: 0}, {X: 3, Y: 0})
+    assert e.to_constraint().atoms == (Atom(X, None, ">", 3),)
+    # with L(x) = 6 the upper bound stays; Extra_M with k = max(L, U)
+    # keeps the lower bound too
+    kept = z.extrapolate_lu({X: 6, Y: 0}, {X: 3, Y: 0})
+    assert kept.cells == zone(Atom(X, None, ">", 3), Atom(X, None, "<=", 6)).cells
+    assert z.extrapolate({X: 6, Y: 0}) is z
+
+
 def test_free_grows_stays_canonical_and_composes():
     rng = random.Random(23)
     for _ in range(200):
@@ -349,3 +428,7 @@ def test_grid_membership_matches_the_oracle():
         var = rng.choice(clocks)
         assert np.array_equal(dbm_mask(z1.reset([var]), pts), reset_mask(c1, clocks, var, pts))
         assert np.array_equal(dbm_mask(z1.free([var]), pts), exists_mask(c1, clocks, var, pts))
+        # the abstraction contains the zone: Z <= Extra+_LU(Z) point by point
+        lower, upper = random_bounds(rng, clocks)
+        inside = dbm_mask(z1, pts)
+        assert not (inside & ~dbm_mask(z1.extrapolate_lu(lower, upper), pts)).any()

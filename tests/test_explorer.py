@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+import gen
 from conftest import DIVERGING_PATH, TRAIN_PATH
 from test_parser import random_network
 from zonereach import parse_query, parse_spec
@@ -274,6 +275,39 @@ def test_inactive_clocks_leave_the_goal_clocks_alone(train_net, unreduced):
     assert names(Search(train_net, first).entry(first.target.locations)[1]) == ["Y"]
 
 
+TARGET_BOUNDS_SPEC = """specification late
+Clocks x nil
+States s0 s1 s2 nil
+Labels a b c nil
+Automata
+  ( Locations s0 s1 s2 nil
+    Labels a b c nil
+    Invariants s0 : true s1 : true s2 : true nil
+    Transitions
+      s0 , a : x>=3 ^ true , nil , s1 .
+      s0 , b : x>=1 ^ true , nil , s1 .
+      s1 , c : true , nil , s2 .
+      nil ) .
+  nil
+end
+"""
+
+
+def test_target_constants_refine_the_subsumption_test():
+    # No guard reads x at s1 or later, so only the target's x<=1 keeps
+    # the zone x>=1 (label b) apart from Extra+_LU of the zone x>=3
+    # (label a, stored first); with L = U = 0 it would be pruned, and
+    # s2 reached only with x>=3.
+    net = parse_spec(TARGET_BOUNDS_SPEC)
+    q = parse_query("go(s0.nil/x=0 ^ true, s2.nil/x<=1 ^ true)", net)
+    search = Search(net, q)
+    assert search.lu and search.bounds(q.target.locations) == ({net.clocks[0]: 1},) * 2
+    for options in ALL_CONFIGS + [FAITHFUL]:
+        result = explore(net, q, options)
+        assert result.verdict is Verdict.REACHABLE
+        assert names(result.witness) == ["b", "c"]
+
+
 def _random_query(rng, net):
     atoms = []
     for _ in range(rng.randint(0, 2)):
@@ -304,3 +338,73 @@ def test_freeing_keeps_verdicts_and_never_stores_more(unreduced):
             assert reduced.stats.stored <= plain.stats.stored
             fewer += reduced.stats.stored < plain.stats.stored
     assert fewer > 0
+
+
+@pytest.mark.parametrize("n, stored", [(2, 21), (3, 103)])
+def test_fischer_keeps_mutual_exclusion_with_fixed_counts(n, stored):
+    net = parse_spec(gen.fischer_spec(n, 2))
+    query = parse_query(gen.fischer_mutex_query(n), net)
+    for order in ("bfs", "dfs"):
+        result = explore(net, query, SearchOptions(order=order))
+        assert result.verdict is Verdict.UNREACHABLE
+        assert result.stats.stored == stored
+
+
+@pytest.mark.parametrize("n, stored", [(2, 20), (3, 68)])
+def test_fischer_breaks_mutual_exclusion_when_waiting_too_little(n, stored):
+    net = parse_spec(gen.fischer_spec(n, 2, wait=1))
+    query = parse_query(gen.fischer_mutex_query(n), net)
+    result = explore(net, query, SearchOptions(order="bfs"))
+    assert result.verdict is Verdict.REACHABLE
+    assert result.stats.stored == stored
+    assert names(result.witness) == ["try1", "try2", "set1", "enter1", "set2", "enter2"]
+    assert replay_witness(net, query, result.witness, SearchOptions(extrapolate=False))
+
+
+def test_each_stored_zone_is_abstracted_at_most_once(monkeypatch, diverging_net):
+    calls = []
+    original = Dbm.extrapolate_lu
+
+    def counted(zone, lower, upper):
+        calls.append(zone)
+        return original(zone, lower, upper)
+
+    monkeypatch.setattr(Dbm, "extrapolate_lu", counted)
+    net = parse_spec(gen.fischer_spec(3, 2))
+    query = parse_query(gen.fischer_mutex_query(3), net)
+    result = explore(net, query, SearchOptions(order="bfs"))
+    assert 0 < len(calls) <= result.stats.stored
+    assert len({id(zone) for zone in calls}) == len(calls)
+    # no LU without an abstraction, nor with a diagonal target
+    calls.clear()
+    explore(net, query, SearchOptions(extrapolate=False, max_zones=500))
+    diagonal = parse_query("go(s0.nil/x=0 ^ y=0 ^ true, s0.nil/x-y>0 ^ true)", diverging_net)
+    explore(diverging_net, diagonal)
+    assert calls == []
+
+
+def test_default_search_agrees_with_the_exact_mode():
+    """Stored zones are exact and only the subsumption test abstracts, so
+    the verdicts match the exact mode wherever that terminates, and every
+    witness replays exactly.  Networks or targets with diagonal atoms
+    take the Extra_M path, where this is not guaranteed (Bouyer, FMSD
+    2004); the stream holds both kinds, and no search disagrees."""
+    rng = random.Random(11)
+    exact_options = SearchOptions(subsumption="equal", extrapolate=False, max_zones=2000)
+    configs = [SearchOptions(), SearchOptions(order="bfs"), SearchOptions(subsumption="equal"),
+               SearchOptions(backend="formula")]
+    reachable = {True: 0, False: 0}  # by whether the search abstracts with LU
+    for _ in range(400):
+        net = normalize_constants(validate(random_network(rng)))
+        q = _random_query(rng, net)
+        exact = explore(net, q, exact_options)
+        lu = Search(net, q).lu
+        for options in configs:
+            result = explore(net, q, options)
+            assert result.verdict is not Verdict.INCONCLUSIVE
+            if exact.verdict is not Verdict.INCONCLUSIVE:
+                assert result.verdict is exact.verdict
+            if result.verdict is Verdict.REACHABLE:
+                assert replay_witness(net, q, result.witness, SearchOptions(extrapolate=False))
+                reachable[lu] += 1
+    assert reachable[True] > 100 and reachable[False] > 200

@@ -31,6 +31,7 @@ from zonereach.formula import (
     fm_equiv,
     fm_exists,
     fm_extrapolate,
+    fm_extrapolate_lu,
     fm_includes,
     fm_intersect,
     fm_is_empty,
@@ -121,6 +122,32 @@ def test_extrapolate_forgets_beyond_the_constant():
     assert not fm_entails(e, LinearAtom(X, None, bound(1000, False)))
 
 
+def test_extrapolate_lu_drops_upper_bounds_past_l_and_lower_bounds_past_u():
+    # x in [4, 6] with L(x) = 5, U(x) = 3: x <= 6 goes, x >= 4 becomes x > 3
+    f = formula(Atom(X, None, ">=", 4), Atom(X, None, "<=", 6))
+    e = fm_extrapolate_lu(f, {X: 5, Y: 0}, {X: 3, Y: 0})
+    assert fm_equiv(e, formula(Atom(X, None, ">", 3)))
+    kept = fm_extrapolate_lu(f, {X: 6, Y: 0}, {X: 3, Y: 0})
+    assert fm_equiv(kept, formula(Atom(X, None, ">", 3), Atom(X, None, "<=", 6)))
+
+
+def test_extrapolate_lu_grows_and_is_idempotent():
+    rng = random.Random(71)
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        clocks = make_clocks(n)
+        f = Formula.from_constraint(random_constraint(rng, clocks), clocks)
+        if rng.random() < 0.5:
+            f = fm_elapse(f)
+        lower = {x: rng.choice((0, 1, 2, 5, 8)) for x in clocks}
+        upper = {x: rng.choice((0, 1, 2, 5, 8)) for x in clocks}
+        e = f.extrapolate_lu(lower, upper)
+        assert e.includes(f)
+        assert e.extrapolate_lu(lower, upper).closed_cells == e.closed_cells
+        pts = grid(n)
+        assert not (formula_mask(f, pts) & ~formula_mask(e, pts)).any()
+
+
 def test_growth_stays_quadratic():
     rng = random.Random(41)
     clocks = make_clocks(4)
@@ -191,7 +218,7 @@ def test_pipeline_cross_check_against_matrices():
         f = Formula.from_constraint(c, clocks)
         z = Dbm.from_constraint(c, clocks)
         for _ in range(rng.randint(1, 5)):
-            op = rng.randrange(5)
+            op = rng.randrange(6)
             if op == 0:
                 other = random_constraint(rng, clocks, max_atoms=3)
                 f = fm_intersect(f, Formula.from_constraint(other, clocks))
@@ -204,6 +231,10 @@ def test_pipeline_cross_check_against_matrices():
             elif op == 2:
                 picks = rng.sample(clocks, rng.randint(1, len(clocks)))
                 f, z = fm_reset(f, picks), z.reset(picks)
+            elif op == 5:
+                lower = {x: rng.randint(0, 10) for x in clocks}
+                upper = {x: rng.randint(0, 10) for x in clocks}
+                f, z = fm_extrapolate_lu(f, lower, upper), z.extrapolate_lu(lower, upper)
             else:
                 k = {x: rng.randint(0, 10) for x in clocks}
                 f, z = fm_extrapolate(f, k), z.extrapolate(k)

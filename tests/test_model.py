@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import gen
+from zonereach import parse_spec
 from zonereach.model import (
     Atom,
     Automaton,
@@ -253,6 +255,49 @@ def test_a_diagonal_guard_keeps_both_clocks_active():
     net = validate(small_net(automata=(aut,)))
     assert active_names(net) == [{"s0": ["x", "y"], "s1": []}]
     assert ClockConstraint((Atom(X, Y, "<", 1),)).clocks == {X, Y}
+    # a difference atom feeds its constant both ways to both clocks
+    assert lu_names(net) == [{"s0": {"x": (1, 1), "y": (1, 1)}, "s1": {}}]
+    assert net.has_diagonal and not small_net().has_diagonal
+
+
+def lu_names(net):
+    return [
+        {loc.name: {c.name: lu for c, lu in bounds.items()} for loc, bounds in table.items()}
+        for table in net.lu_bounds
+    ]
+
+
+def test_lu_bounds_of_the_crossing(train_net):
+    # Near reads X>2 on enter and X<=5 in its invariant; In and After
+    # only bound X from above, and Far resets it before any read
+    assert lu_names(train_net) == [
+        {"Far": {}, "Near": {"X": (2, 5)}, "In": {"X": (None, 5)}, "After": {"X": (None, 5)}},
+        {"Up": {}, "t1": {"Y": (None, 1)}, "Down": {}, "t2": {"Y": (None, 2)}},
+        {"u0": {}, "u1": {"Z": (1, 1)}, "u2": {"Z": (None, 1)}},
+    ]
+    assert not train_net.has_diagonal
+
+
+def test_lu_bounds_of_fischer():
+    # B_i: x_i <= 2 (invariant and set guard); C_i: x_i > 2 (enter guard);
+    # A_i resets x_i on try and CS_i only leads back to A_i
+    net = parse_spec(gen.fischer_spec(2, 2))
+    assert lu_names(net) == [
+        {"A1": {}, "B1": {"x1": (None, 2)}, "C1": {"x1": (2, None)}, "CS1": {}},
+        {"A2": {}, "B2": {"x2": (None, 2)}, "C2": {"x2": (2, None)}, "CS2": {}},
+        {"id0": {}, "id1": {}, "id2": {}},
+    ]
+
+
+def test_lu_bounds_follow_unreset_edges_and_magnitudes():
+    # s0 -a-> s1 resets y only: x's bounds at s1 reach back to s0, y's do not
+    inv = ClockConstraint((Atom(X, None, "<=", 5), Atom(Y, None, "=", -3)))
+    guard = ClockConstraint((Atom(X, None, ">", 7),))
+    aut = Automaton((S0, S1), (A,), {S0: TRUE, S1: inv},
+                    (Transition(S0, A, TRUE, (Y,), S1), Transition(S1, A, guard, (), S1)))
+    net = validate(small_net(automata=(aut,)))
+    assert lu_names(net) == [{"s0": {"x": (7, 5)}, "s1": {"x": (7, 5), "y": (3, 3)}}]
+    assert active_names(net) == [{"s0": ["x"], "s1": ["x", "y"]}]
 
 
 def test_initial_like_is_zero():
