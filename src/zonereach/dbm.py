@@ -124,16 +124,15 @@ class Dbm:
             return Dbm(self.clocks, None)
         return Dbm(self.clocks, tuple(grid))
 
-    def _require_same_clocks(self, other: "Dbm") -> None:
-        if self.clocks != other.clocks:
-            raise ValueError("zones over different clock lists")
-
     # -- zone operations ----------------------------------------------
 
     def intersect(self, other: "Dbm") -> "Dbm":
         """Cellwise minimum, then a full O(n³) closure (none when this
         zone already lies inside ``other``)."""
-        self._require_same_clocks(other)
+        # The zones of one search share one clock tuple, so identity
+        # settles the check without comparing the lists.
+        if self.clocks is not other.clocks and self.clocks != other.clocks:
+            raise ValueError("zones over different clock lists")
         if self.cells is None or other.cells is None:
             return Dbm(self.clocks, None)
         return self._closed([min(a, b) for a, b in zip(self.cells, other.cells)])
@@ -231,7 +230,8 @@ class Dbm:
     def includes(self, other: "Dbm") -> bool:
         """Does this zone contain ``other`` as a set?  A cellwise O(n²)
         check, exact because both matrices are canonical."""
-        self._require_same_clocks(other)
+        if self.clocks is not other.clocks and self.clocks != other.clocks:
+            raise ValueError("zones over different clock lists")
         if other.cells is None:
             return True
         if self.cells is None:

@@ -36,11 +36,15 @@ widening past the maximum constants ``k`` instead (Extra_M), and
 stored zones are compared as they are.  ``SearchOptions(extrapolate=
 False)`` uses neither abstraction.
 
-A ``Search`` holds what one query derives from the network, the query
-and the options: the zone type, the abstraction, and per location
-vector the invariant, the inactive clocks and the L and U bounds,
-each computed once.  ``root_state`` and ``successors`` take it, so
-``explore`` and ``replay_witness`` walk the same successor relation.
+What follows from the network and a location vector alone lives on
+the ``Network``, built the first time any search reaches the vector:
+its merged moves (``Network.moves``), its invariant and the clocks
+freed on entering it (``Network.freed``, kept per vector and set of
+target clocks).  A ``Search`` holds what one query adds: the zone
+type, the abstraction (``k`` or LU) and per vector the L and U bounds
+raised to the target's constants.  ``root_state`` and ``successors``
+take it, so ``explore`` and ``replay_witness`` walk the same successor
+relation.
 
 The search is a plain worklist (LIFO or FIFO).  Every new state, the
 source state included, is goal-tested before the visited check, so a
@@ -70,7 +74,6 @@ from .model import (
     Network,
     Query,
     StatePattern,
-    joint_moves,
     max_constants,
 )
 
@@ -127,10 +130,14 @@ class SearchOptions:
 class SearchStats:
     stored: int = 0
     popped: int = 0
+    subsumed: int = 0  # successors the visited set pruned
     seconds: float = 0.0
 
     def __str__(self) -> str:
-        return f"stored={self.stored} popped={self.popped} time={self.seconds:.2f}s"
+        return (
+            f"stored={self.stored} popped={self.popped} subsumed={self.subsumed} "
+            f"time={self.seconds:.2f}s"
+        )
 
 
 @dataclass
@@ -143,9 +150,9 @@ class ExploreResult:
 
 class Search:
     """What one search derives from ``(net, query, options)``: the zone
-    type, per location vector its invariant and the clocks freed on
-    entering it, which never include the clocks the goal test reads,
-    and the abstraction in use.
+    type, the clocks the goal test reads (``keep``, never freed) and the
+    abstraction in use.  Per-vector invariants, moves and freed clocks
+    come from the network, which keeps them for every search.
 
     Without diagonal atoms in the network's guards and invariants or in
     the target, stored zones stay exact and ``lu`` is set: a vector's L
@@ -166,20 +173,13 @@ class Search:
         diagonal = net.has_diagonal or any(atom.rhs is not None for atom in target.atoms)
         self.k = max_constants(net, query) if options.extrapolate and diagonal else None
         self.lu = options.extrapolate and not diagonal
-        self._entries: dict = {}
         self._bounds: dict = {}
 
     def entry(self, vector: LocationVector) -> tuple[ClockConstraint, tuple[ClockId, ...]]:
-        """The vector's invariant and its inactive clocks, computed once."""
-        found = self._entries.get(vector)
-        if found is None:
-            net = self.net
-            invariants = (aut.invariants[loc] for aut, loc in zip(net.automata, vector))
-            invariant = ClockConstraint(tuple(atom for inv in invariants for atom in inv.atoms))
-            live = self.keep.union(*(table[loc] for table, loc in zip(net.active, vector)))
-            inactive = tuple(c for c in net.clocks if c not in live)
-            found = self._entries[vector] = (invariant, inactive)
-        return found
+        """The vector's invariant and the clocks freed on entering it,
+        from the network's tables."""
+        net = self.net
+        return net.invariant(vector), net.freed(vector, self.keep)
 
     def bounds(self, vector: LocationVector) -> tuple[dict[ClockId, int], dict[ClockId, int]]:
         """The vector's L and U, computed once: per clock the largest
@@ -229,19 +229,13 @@ def root_state(search: Search) -> Optional[StateZone]:
 
 def successors(search: Search, state: StateZone) -> Iterator[tuple[LabelId, StateZone]]:
     """All label moves from a state, in the declaration order of
-    ``model.joint_moves``."""
-    for label, moves in joint_moves(search.net, state.locations):
-        guard_atoms = []
-        resets: list[ClockId] = []
-        vector = list(state.locations)
-        for i, t in moves:
-            guard_atoms.extend(t.guard.atoms)
-            resets.extend(c for c in t.resets if c not in resets)
-            vector[i] = t.target
-        zone = state.zone.constrain(ClockConstraint(tuple(guard_atoms)))
-        if zone.is_empty():
+    ``model.joint_moves`` (``Network.moves`` merges each one once)."""
+    zone = state.zone
+    for label, guard, resets, target in search.net.moves(state.locations):
+        moved = zone.constrain(guard)
+        if moved.is_empty():
             continue
-        succ = search.enter(tuple(vector), zone.reset(resets))
+        succ = search.enter(target, moved.reset(resets))
         if succ is not None:
             yield label, succ
 
@@ -339,6 +333,7 @@ def explore(net: Network, query: Query, options: Optional[SearchOptions] = None)
             if is_goal(succ, query.target):
                 return result(Verdict.REACHABLE, witness=_trace(child))
             if visited.subsumed(succ):
+                stats.subsumed += 1
                 continue
             if options.max_zones is not None and stats.stored >= options.max_zones:
                 return result(Verdict.INCONCLUSIVE, reason="zone limit exceeded")

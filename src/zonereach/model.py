@@ -162,6 +162,73 @@ class Network:
         constraints += [t.guard for aut in self.automata for t in aut.transitions]
         return any(atom.rhs is not None for c in constraints for atom in c.atoms)
 
+    # What a search needs of one location vector, built the first time
+    # some search reaches it and shared by every later search on this
+    # network; ``dataclasses.replace(net)`` gives a copy with none built.
+
+    @cached_property
+    def _moves(self) -> dict[tuple[LocationId, ...], tuple[Move, ...]]:
+        return {}
+
+    @cached_property
+    def _invariants(self) -> dict[tuple[LocationId, ...], ClockConstraint]:
+        return {}
+
+    @cached_property
+    def _freed(self) -> dict[tuple[tuple[LocationId, ...], frozenset[ClockId]], tuple[ClockId, ...]]:
+        return {}
+
+    def moves(self, vector: tuple[LocationId, ...]) -> tuple[Move, ...]:
+        """The vector's joint moves in ``joint_moves`` order, each merged
+        into ``(label, guard, resets, target vector)``: the conjunction of
+        the moving automata's guards, their resets without repeats, and
+        the vector after the move."""
+        found = self._moves.get(vector)
+        if found is None:
+            found = self._moves[vector] = tuple(
+                _merged(vector, label, combo) for label, combo in joint_moves(self, vector)
+            )
+        return found
+
+    def invariant(self, vector: tuple[LocationId, ...]) -> ClockConstraint:
+        """The conjunction of the invariants of the vector's locations."""
+        found = self._invariants.get(vector)
+        if found is None:
+            invariants = (aut.invariants[loc] for aut, loc in zip(self.automata, vector))
+            atoms = tuple(atom for inv in invariants for atom in inv.atoms)
+            found = self._invariants[vector] = ClockConstraint(atoms)
+        return found
+
+    def freed(self, vector: tuple[LocationId, ...], keep: frozenset[ClockId]) -> tuple[ClockId, ...]:
+        """The clocks a zone entering the vector may forget, in declaration
+        order: those inactive at every location of the vector (``active``)
+        and outside ``keep``, the clocks the goal test reads.  Kept per
+        ``(vector, keep)``, since searches for different targets keep
+        different clocks."""
+        key = (vector, keep)
+        found = self._freed.get(key)
+        if found is None:
+            live = keep.union(*(table[loc] for table, loc in zip(self.active, vector)))
+            found = self._freed[key] = tuple(c for c in self.clocks if c not in live)
+        return found
+
+
+# One merged joint move: label, guard, resets, target vector.
+Move = tuple[LabelId, ClockConstraint, tuple[ClockId, ...], tuple[LocationId, ...]]
+
+
+def _merged(
+    vector: tuple[LocationId, ...], label: LabelId, combo: tuple[tuple[int, Transition], ...]
+) -> Move:
+    atoms: list[Atom] = []
+    resets: list[ClockId] = []
+    target = list(vector)
+    for i, t in combo:
+        atoms.extend(t.guard.atoms)
+        resets.extend(c for c in t.resets if c not in resets)
+        target[i] = t.target
+    return label, ClockConstraint(tuple(atoms)), tuple(resets), tuple(target)
+
 
 # (L, U) of one clock at one location; None where no atom bounds it that way.
 LUBound = tuple[Optional[int], Optional[int]]

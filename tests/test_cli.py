@@ -1,11 +1,14 @@
 """Command-line behaviour: output formats and exit codes."""
 
 import io
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
-from conftest import QUERIES_PATH, TRAIN_PATH
+from conftest import QUERIES_PATH, REPO, TRAIN_PATH
 from zonereach import cli
 from zonereach.formula import Formula
 
@@ -46,7 +49,7 @@ def test_empty_witness_is_marked(run):
 def test_stats_line_shape(run):
     code, out, _ = run(TRAIN_PATH, "--stats", "--query", UNSAFE)
     assert code == cli.OK
-    assert re.fullmatch(r"# stats: stored=\d+ popped=\d+ time=\d+\.\d\ds", out.splitlines()[1])
+    assert re.fullmatch(r"# stats: stored=\d+ popped=\d+ subsumed=\d+ time=\d+\.\d\ds", out.splitlines()[1])
 
 
 def test_query_file_skips_comments(run):
@@ -173,7 +176,15 @@ def test_stats_line_follows_every_query_even_inconclusive(run):
     lines = out.splitlines()
     assert len(lines) == 2
     for line in lines:
-        assert re.fullmatch(r"# stats: stored=2 popped=\d+ time=\d+\.\d\ds", line)
+        assert re.fullmatch(r"# stats: stored=2 popped=\d+ subsumed=\d+ time=\d+\.\d\ds", line)
+
+
+def test_the_package_runs_as_a_module():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run([sys.executable, "-m", "zonereach", "--help"],
+                          capture_output=True, text=True, env=env, cwd=REPO, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: zonereach ")
 
 
 def test_unknown_flag_exits_like_a_missing_file(run):
@@ -193,7 +204,7 @@ def test_selftest_prints_a_stats_line_per_search(run):
     assert code == cli.OK and err == ""
     lines = out.splitlines()
     assert lines[-1] == "agree: 2/2"
-    configs = [re.fullmatch(r"# stats: (\w+/\w+) stored=\d+ popped=\d+ time=\d+\.\d\ds", line)
+    configs = [re.fullmatch(r"# stats: (\w+/\w+) stored=\d+ popped=\d+ subsumed=\d+ time=\d+\.\d\ds", line)
                for line in lines[:-1]]
     assert all(configs)
     assert [m.group(1) for m in configs] == ["dbm/dfs", "dbm/bfs", "formula/dfs", "formula/bfs"] * 2

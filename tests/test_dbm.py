@@ -126,6 +126,21 @@ def test_unknown_clock_is_named():
         zone(Atom(ClockId("W", 2), None, "<=", 1))
 
 
+def test_zones_over_different_clock_lists_are_refused():
+    a = zone(Atom(X, None, "<=", 1))
+    equal_list = tuple(list(CL))
+    assert equal_list is not CL
+    b = Dbm.from_constraint(ClockConstraint((Atom(X, None, "<=", 2),)), equal_list)
+    assert b.includes(a) and not a.includes(b)
+    assert a.intersect(b).key == a.key
+    for other_list in ((Y, X), (X,), (X, Y, ClockId("z", 2))):
+        other = Dbm.universe(other_list)
+        for left, right in ((a, other), (other, a)):
+            for op in (left.includes, left.intersect):
+                with pytest.raises(ValueError, match="^zones over different clock lists$"):
+                    op(right)
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [

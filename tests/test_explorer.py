@@ -15,7 +15,7 @@ import pytest
 import gen
 from conftest import DIVERGING_PATH, TRAIN_PATH
 from test_parser import random_network
-from zonereach import parse_query, parse_spec
+from zonereach import model, parse_query, parse_spec
 from zonereach.bounds import INF
 from zonereach.dbm import Dbm
 from zonereach.explorer import (
@@ -60,12 +60,15 @@ def every_clock_active(net):
 
 @pytest.fixture
 def unreduced(monkeypatch):
-    """Run a search with every clock active everywhere, then restore."""
+    """Run a search with every clock active everywhere, then restore.
+    The search gets a fresh copy of the network: the network keeps the
+    clocks it frees per vector, and neither the copy's tables may come
+    from the reduced search nor the original's from this one."""
 
-    def run(search, *args):
+    def run(search, net, *args):
         with monkeypatch.context() as patch:
             patch.setattr(Network, "active", property(every_clock_active))
-            return search(*args)
+            return search(dataclasses.replace(net), *args)
 
     return run
 
@@ -273,6 +276,53 @@ def test_inactive_clocks_leave_the_goal_clocks_alone(train_net, unreduced):
     assert first.target.locations == clockless.target.locations
     assert names(Search(train_net, clockless).entry(first.target.locations)[1]) == ["Y", "Z"]
     assert names(Search(train_net, first).entry(first.target.locations)[1]) == ["Y"]
+
+
+def test_searches_sharing_a_network_answer_as_on_a_fresh_copy(train_net):
+    # The network keeps the clocks it frees per vector.  The targets
+    # here read different clocks at the same vector (nothing, Z - X, Z),
+    # so a table kept per vector alone would hand one search the freed
+    # clocks of another: Z, freed for the clock-free target, would make
+    # Z - X > 0 reachable.
+    texts = [
+        INSIDE,
+        "go(Far.Up.u0.nil/true, In.Down.u0.nil/Z-X>0 ^ true)",
+        INSIDE,
+        "go(Far.Up.u0.nil/true, In.Down.u0.nil/Z-X=0 ^ Z>4 ^ true)",
+        "go(Far.Up.u0.nil/true, In.Down.u0.nil/Z-X>0 ^ true)",
+    ]
+    shared = dataclasses.replace(train_net)
+    for backend in ("dbm", "formula"):
+        for order in ("dfs", "bfs"):
+            options = SearchOptions(backend=backend, order=order)
+            for text in texts:
+                q = parse_query(text, train_net)
+                got = explore(shared, q, options)
+                want = explore(dataclasses.replace(train_net), q, options)
+                assert got.verdict is want.verdict
+                assert got.witness == want.witness
+                assert (got.stats.stored, got.stats.popped) == (want.stats.stored, want.stats.popped)
+
+
+def test_a_network_enumerates_each_vectors_moves_once(train_net, queries, monkeypatch):
+    calls = []
+    enumerate_moves = model.joint_moves
+
+    def counted(net, locations):
+        calls.append(locations)
+        return enumerate_moves(net, locations)
+
+    monkeypatch.setattr(model, "joint_moves", counted)
+    inside, unsafe = queries
+    net = dataclasses.replace(train_net)
+    explore(net, unsafe)
+    first = len(calls)
+    assert first > 0 and len(set(calls)) == first
+    explore(net, unsafe)
+    explore(net, inside)
+    assert len(calls) == first
+    explore(dataclasses.replace(net), unsafe)
+    assert len(calls) == 2 * first
 
 
 TARGET_BOUNDS_SPEC = """specification late
