@@ -23,15 +23,10 @@ from .bounds import INF, ZERO_LE, bound, is_strict, value
 from .model import Atom, ClockConstraint, ClockId
 
 
-def _close(grid: list[int], size: int, pivots: Iterable[int] | None = None) -> bool:
-    """Relax every path through the given pivot indices in place; None
-    means all of them, which is the full Floyd-Warshall closure, O(n³).
-    False when a diagonal cell ends below (0, <=), i.e. the zone is empty.
-
-    A closed grid with one cell (a, b) tightened is closed again by the
-    pivots (a, b) alone, in O(n²) (Bengtsson & Yi 2004).
-    """
-    for k in range(size) if pivots is None else pivots:
+def _close(grid: list[int], size: int) -> bool:
+    """The full Floyd-Warshall closure in place, O(n³).  False when a
+    diagonal cell ends below (0, <=), i.e. the zone is empty."""
+    for k in range(size):
         krow = k * size
         # row k's finite entries, read once per pivot.  Paths with i == k
         # or j == k only add the cell (k, k), which cannot tighten
@@ -50,6 +45,38 @@ def _close(grid: list[int], size: int, pivots: Iterable[int] | None = None) -> b
     for i in range(size):
         if grid[i * size + i] < ZERO_LE:
             return False
+    return True
+
+
+def _tighten(grid: list[int], size: int, a: int, b: int, raw: int) -> bool:
+    """Add xa - xb bounded by ``raw`` to a closed grid in place, leaving
+    it closed (Bengtsson & Yi 2004).  False, with the grid untouched,
+    when the zone becomes empty.
+
+    The new edge closes a negative cycle exactly when raw + D[b][a] is
+    below (0, <=): an O(1) test.  Otherwise every path it shortens is
+    i -> a -> b -> j, so one O(n²) pass over the finite entries of
+    column a and row b, D[i][j] = min(D[i][j], D[i][a] + raw + D[b][j]),
+    closes the grid again.  The pass leaves column a and row b as they
+    were (raw + D[b][a] is at least (0, <=)) apart from the cell (a, b)
+    itself, which it sets to ``raw`` through D[a][a] = D[b][b] = (0, <=).
+    """
+    ba = grid[b * size + a]
+    # bounds.add for finite bounds, as in ``_close``
+    if ba != INF and raw + ba - ((raw | ba) & 1) < ZERO_LE:
+        return False
+    brow = b * size
+    from_b = [(j, bj) for j, bj in enumerate(grid[brow:brow + size]) if bj != INF]
+    for i in range(size):
+        ia = grid[i * size + a]
+        if ia == INF:
+            continue
+        via = ia + raw - ((ia | raw) & 1)
+        irow = i * size
+        for j, bj in from_b:
+            through = via + bj - ((via | bj) & 1)
+            if through < grid[irow + j]:
+                grid[irow + j] = through
     return True
 
 
@@ -137,9 +164,15 @@ class Dbm:
             return Dbm(self.clocks, None)
         return self._closed([min(a, b) for a, b in zip(self.cells, other.cells)])
 
-    def _edges(self, c: ClockConstraint) -> list[tuple[int, int, int]]:
+    def _edges(self, c: ClockConstraint) -> tuple[tuple[int, int, int], ...]:
         """The constraint as matrix edges ``(i, j, raw)``: xi - xj bounded
-        by ``raw``, one edge per atom and two for ``=``."""
+        by ``raw``, one edge per atom and two for ``=``.  Compiled once per
+        constraint object and clock tuple and kept on the constraint; one
+        that fails a check is not kept, so it raises on every call."""
+        memo = c._dbm_edges
+        found = memo.get(self.clocks)
+        if found is not None:
+            return found
         edges = []
         for atom in c.atoms:
             if not isinstance(atom.const, int):
@@ -160,12 +193,14 @@ class Dbm:
                 edges.append((j, i, bound(-n, strict=False)))
             else:
                 raise ValueError(f"unknown operator {atom.op!r}")
-        return edges
+        found = memo[self.clocks] = tuple(edges)
+        return found
 
     def constrain(self, c: ClockConstraint) -> "Dbm":
-        """Intersect with a constraint: O(n²) per edge that tightens a
-        cell, nothing for the others (this zone itself comes back when
-        none does)."""
+        """Intersect with a constraint: per edge that tightens a cell, an
+        O(1) emptiness test and one O(n²) pass (``_tighten``), nothing for
+        the others (this zone itself comes back when none does).  The
+        edges are compiled once per constraint and clock tuple."""
         if self.cells is None:
             return self
         size = len(self.clocks) + 1
@@ -174,8 +209,7 @@ class Dbm:
             if raw < grid[a * size + b]:
                 if grid is self.cells:
                     grid = list(grid)
-                grid[a * size + b] = raw
-                if not _close(grid, size, (a, b)):
+                if not _tighten(grid, size, a, b, raw):
                     return Dbm(self.clocks, None)
         return self if grid is self.cells else Dbm(self.clocks, tuple(grid))
 
@@ -243,10 +277,10 @@ class Dbm:
 
         Upper bounds above k(xi) become unbounded and lower bounds below
         -k(xj) are clamped to strictly-beyond-k(xj); the result gets a
-        full O(n³) closure when a cell changed (it is not canonical, so
-        no pivot shortcut applies).  Zones that only differ beyond the
-        constants collapse to the same matrix, which is what makes
-        exploration finite.
+        full O(n³) closure when a cell changed (several cells may move
+        at once, so no one-edge tightening applies).  Zones that only
+        differ beyond the constants collapse to the same matrix, which is
+        what makes exploration finite.
         """
         if self.cells is None:
             return self

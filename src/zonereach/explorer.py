@@ -81,8 +81,8 @@ LocationVector = tuple[LocationId, ...]
 
 # Both zone types offer the same surface: ``from_constraint(c, clocks)``,
 # ``constrain`` (intersection with a constraint), ``reset``, ``free``,
-# ``elapse``, ``is_empty``, ``includes``, ``extrapolate`` and a hashable
-# canonical ``key``.
+# ``elapse``, ``is_empty``, ``includes``, ``extrapolate`` (Extra_M),
+# ``extrapolate_lu`` (Extra⁺_LU) and a hashable canonical ``key``.
 Zone = Union[Dbm, Formula]
 ZONE_TYPES: dict[str, type] = {"dbm": Dbm, "formula": Formula}
 

@@ -85,6 +85,14 @@ class ClockConstraint:
             clock for atom in self.atoms for clock in (atom.lhs, atom.rhs) if clock is not None
         )
 
+    @cached_property
+    def _dbm_edges(self) -> dict[tuple[ClockId, ...], tuple[tuple[int, int, int], ...]]:
+        """Clock tuple -> this constraint's matrix edges, filled in by
+        ``dbm`` on first use.  It lives on the instance and takes no part
+        in ``==`` or ``hash``: equal constraints may differ in how their
+        constants are typed, and each is checked on its own."""
+        return {}
+
 
 TRUE = ClockConstraint()
 

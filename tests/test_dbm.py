@@ -4,6 +4,9 @@ structural laws of the canonical form.
 """
 
 import random
+import sys
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +23,8 @@ from oracles import (
     reset_mask,
 )
 from zonereach.bounds import INF, ZERO_LE, bound, value
-from zonereach.dbm import Dbm
+from zonereach import dbm as dbm_module
+from zonereach.dbm import Dbm, _tighten
 from zonereach.model import Atom, ClockConstraint, ClockId, TRUE
 
 X = ClockId("x", 0)
@@ -154,6 +158,115 @@ def test_every_atom_is_checked_even_past_an_empty_prefix(bad, message):
         zone(bad)
     with pytest.raises(ValueError, match=message):
         zone(Atom(X, None, "<", 1), Atom(X, None, ">", 1), bad)
+
+
+# -- one-edge tightening and the compiled edges --------------------------------
+
+
+def test_tighten_finds_a_strict_zero_cycle_empty_before_any_pass():
+    # x >= 2, then x < 2: raw + D[0][1] is (2, <) + (-2, <=) = (0, <)
+    z = zone(Atom(X, None, ">=", 2))
+    grid = list(z.cells)
+    assert not _tighten(grid, 3, 1, 0, bound(2, strict=True))
+    assert grid == list(z.cells)  # nothing written
+    assert z.constrain(ClockConstraint((Atom(X, None, "<", 2),))).cells is None
+
+
+def test_tighten_keeps_a_weak_zero_cycle():
+    # x >= 2, then x <= 2: raw + D[0][1] is exactly (0, <=), the point x = 2
+    z = zone(Atom(X, None, ">=", 2))
+    grid = list(z.cells)
+    assert _tighten(grid, 3, 1, 0, bound(2, strict=False))
+    assert grid == [1, -3, 1, 5, 1, 5, INF, INF, 1]
+    assert Dbm.from_bounds(CL, grid).cells == tuple(grid)
+    assert z.constrain(ClockConstraint((Atom(X, None, "<=", 2),))).cells == tuple(grid)
+
+
+def test_tighten_through_unbounded_cells():
+    # x - y <= -1 on the universe: D[y][x] is INF, so there is no cycle to
+    # test, and column x and row y are INF but for row 0 and the diagonal;
+    # the pass derives y >= 1 through the finite cells alone
+    grid = list(Dbm.universe(CL).cells)
+    assert _tighten(grid, 3, 1, 2, bound(-1, strict=False))
+    assert grid == [1, 1, -1, INF, 1, -1, INF, INF, 1]
+    assert Dbm.from_bounds(CL, grid).cells == tuple(grid)
+
+
+def test_one_constraint_compiles_per_clock_tuple():
+    c = ClockConstraint((Atom(X, None, "<=", 3), Atom(X, Y, "<", 1)))
+    for _ in range(2):  # compiled, then read back from the memo
+        xy = Dbm.universe((X, Y)).constrain(c)
+        yx = Dbm.universe((Y, X)).constrain(c)
+        assert xy.cell(1, 0) == yx.cell(2, 0) == bound(3, strict=False)
+        assert xy.cell(1, 2) == yx.cell(2, 1) == bound(1, strict=True)
+        assert xy.cell(2, 0) == yx.cell(1, 0) == INF
+    assert set(c._dbm_edges) == {(X, Y), (Y, X)}
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (Atom(ClockId("W", 2), None, "<=", 1), "unknown clock 'W'$"),
+        (Atom(X, None, "<=", 1.5), "non-integer constant 1.5"),
+        (Atom(X, Y, "!=", 1), "unknown operator '!='"),
+    ],
+)
+def test_an_invalid_constraint_raises_on_every_call(bad, message):
+    c = ClockConstraint((Atom(X, None, "<", 1), bad))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            Dbm.universe(CL).constrain(c)
+    assert c._dbm_edges == {}
+
+
+def test_an_equal_constraint_with_a_fraction_is_still_refused():
+    whole = ClockConstraint((Atom(X, None, "<", 2),))
+    Dbm.universe(CL).constrain(whole)
+    fraction = ClockConstraint((Atom(X, None, "<", Fraction(2)),))
+    assert fraction == whole
+    with pytest.raises(ValueError, match="non-integer constant"):
+        Dbm.universe(CL).constrain(fraction)
+
+
+def test_compiling_leaves_equality_and_hash_alone():
+    c = ClockConstraint((Atom(X, None, "<=", 3), Atom(Y, X, ">", 1)))
+    fresh = ClockConstraint(c.atoms)
+    Dbm.universe(CL).constrain(c)
+    assert c._dbm_edges and "_dbm_edges" not in vars(fresh)
+    assert c == fresh and hash(c) == hash(fresh)
+    assert repr(c) == repr(fresh)
+
+
+def test_constrain_runs_no_full_closure(monkeypatch):
+    callers = Counter()
+
+    def counted(grid, size):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return close(grid, size)
+
+    close = dbm_module._close
+    monkeypatch.setattr(dbm_module, "_close", counted)
+    rng = random.Random(71)
+    tightened = empties = 0
+    for _ in range(300):
+        clocks = make_clocks(rng.randint(1, 5))
+        z = random_zone(rng, clocks).elapse()
+        got = z.constrain(random_atoms(rng, clocks))
+        tightened += got is not z
+        empties += got.is_empty()
+    assert not callers
+    assert tightened > 150 and empties > 30
+    # the full closure is reached from these two places alone
+    for _ in range(100):
+        clocks = make_clocks(rng.randint(1, 4))
+        z, w = random_zone(rng, clocks), random_zone(rng, clocks)
+        z.intersect(w)
+        z.elapse().extrapolate({c: 2 for c in clocks})
+        z.elapse().extrapolate_lu(*random_bounds(rng, clocks))
+        z.reset(clocks[:1]).free(clocks[-1:])
+        if z.cells is not None:
+            Dbm.from_bounds(clocks, z.cells)
+    assert set(callers) == {"from_bounds", "_closed"}
 
 
 # -- structural laws over random zones ----------------------------------------

@@ -296,3 +296,14 @@ def test_the_two_backends_import_nothing_from_each_other():
     """The formula backend is an independent oracle for the matrices."""
     assert "zonereach.dbm" not in _imported_modules(formula_module)
     assert "zonereach.formula" not in _imported_modules(dbm)
+    # nor does it read the matrix edges ``dbm`` compiles onto constraints
+    names = set()
+    for node in ast.walk(ast.parse(Path(formula_module.__file__).read_text())):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    assert "atoms" in names  # the walk sees the oracle's own atom handling
+    assert "_dbm_edges" not in names
