@@ -49,11 +49,12 @@ relation.
 The search is a plain worklist (LIFO or FIFO).  Every new state, the
 source state included, is goal-tested before the visited check, so a
 goal is reported even when the state would have been pruned; then it
-is pruned, checked against the zone limit and stored.  Visited states
-are pruned either by equality of the zones' abstractions or by
-inclusion in the abstraction of an already-stored zone; with
-extrapolation switched on the abstractions per location vector are
-finitely many and the search terminates."""
+is pruned or stored in one step (``_Visited.insert``), and a stored
+state is checked against the zone limit.  Visited states are pruned
+either by equality of the zones' abstractions or by inclusion in the
+abstraction of an already-stored zone; with extrapolation switched on
+the abstractions per location vector are finitely many and the search
+terminates."""
 
 from __future__ import annotations
 
@@ -62,12 +63,11 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .dbm import Dbm
 from .formula import Formula
 from .model import (
-    ClockConstraint,
     ClockId,
     LabelId,
     LocationId,
@@ -156,7 +156,7 @@ class Search:
 
     Without diagonal atoms in the network's guards and invariants or in
     the target, stored zones stay exact and ``lu`` is set: a vector's L
-    and U bounds (``bounds``) drive Extra⁺_LU in the subsumption test.
+    and U bounds (``bounds``) drive Extra⁺_LU in the visited set.
     With them, LU is unsound and stored zones are widened past the
     maximum constants ``k`` on entry instead (Extra_M).  Under
     ``SearchOptions(extrapolate=False)`` there is neither: ``k`` is None
@@ -174,12 +174,6 @@ class Search:
         self.k = max_constants(net, query) if options.extrapolate and diagonal else None
         self.lu = options.extrapolate and not diagonal
         self._bounds: dict = {}
-
-    def entry(self, vector: LocationVector) -> tuple[ClockConstraint, tuple[ClockId, ...]]:
-        """The vector's invariant and the clocks freed on entering it,
-        from the network's tables."""
-        net = self.net
-        return net.invariant(vector), net.freed(vector, self.keep)
 
     def bounds(self, vector: LocationVector) -> tuple[dict[ClockId, int], dict[ClockId, int]]:
         """The vector's L and U, computed once: per clock the largest
@@ -201,20 +195,16 @@ class Search:
             found = self._bounds[vector] = (lower, upper)
         return found
 
-    def abstraction(self, vector: LocationVector, zone: Zone) -> Zone:
-        """Extra⁺_LU of a zone at a vector, with the vector's bounds."""
-        return zone.extrapolate_lu(*self.bounds(vector))
-
     def enter(self, vector: LocationVector, zone: Zone) -> Optional[StateZone]:
         """The stored state of a zone entering a location vector: the zone
         constrained by the vector's invariant, delayed within it, its
         inactive clocks freed, and widened past ``k`` unless ``k`` is None;
         None when the invariant leaves nothing."""
-        invariant, inactive = self.entry(vector)
+        invariant = self.net.invariant(vector)
         zone = zone.constrain(invariant)
         if zone.is_empty():
             return None
-        zone = zone.elapse().constrain(invariant).free(inactive)
+        zone = zone.elapse().constrain(invariant).free(self.net.freed(vector, self.keep))
         if self.k is not None:
             zone = zone.extrapolate(self.k)
         return StateZone(vector, zone)
@@ -248,43 +238,48 @@ def is_goal(state: StateZone, target: StatePattern) -> bool:
 
 
 class _Visited:
-    """Per-location-vector store.  A new zone is pruned when it lies
-    inside the abstraction of a zone stored at the same vector
-    (``include``), or when the two zones' abstractions are equal
-    (``equal``).  The abstraction is ``abstract(vector, zone)``, or the
-    zone itself when ``abstract`` is None.  Buckets hold ``[zone,
-    abstraction-or-None]``: a stored zone's abstraction is computed the
-    first time a new zone is compared against it, then kept."""
+    """The search's stored states, one bucket per location vector.  A
+    new zone is pruned when it lies inside the abstraction of a zone
+    stored at the same vector (``include``), or when the two zones'
+    abstractions are equal (``equal``).  The abstraction is Extra⁺_LU
+    with the vector's bounds when ``search.lu`` is set, else the zone
+    itself.  Under ``equal`` a bucket is the set of its abstractions'
+    keys; under ``include`` it holds ``[zone, abstraction-or-None]``: a
+    stored zone's abstraction is computed the first time a new zone is
+    compared against it, then kept."""
 
-    def __init__(self, mode: str, abstract: Optional[Callable[[LocationVector, Zone], Zone]] = None):
-        self.mode = mode
-        self.abstract = abstract
-        self.keys: set = set()
-        self.zones: dict[LocationVector, list[list]] = {}
-        self._key = None
+    def __init__(self, search: Search, mode: str):
+        self.equal = mode == "equal"
+        self.bounds = search.bounds if search.lu else None
+        self.buckets: dict[LocationVector, Union[set, list[list]]] = {}
 
-    def _abstraction(self, vector: LocationVector, zone: Zone) -> Zone:
-        return zone if self.abstract is None else self.abstract(vector, zone)
+    def _abstract(self, vector: LocationVector, zone: Zone) -> Zone:
+        return zone if self.bounds is None else zone.extrapolate_lu(*self.bounds(vector))
 
-    def subsumed(self, state: StateZone) -> bool:
+    def insert(self, state: StateZone) -> bool:
+        """Store the state unless it is pruned; False when it is pruned."""
         vector, zone = state.locations, state.zone
-        if self.mode == "equal":
-            self._key = (vector, self._abstraction(vector, zone).key)
-            return self._key in self.keys
-        for stored in self.zones.get(vector, ()):
+        bucket = self.buckets.get(vector)
+        if self.equal:
+            key = self._abstract(vector, zone).key
+            if bucket is None:
+                self.buckets[vector] = {key}
+            elif key in bucket:
+                return False
+            else:
+                bucket.add(key)
+            return True
+        if bucket is None:
+            self.buckets[vector] = [[zone, None]]
+            return True
+        for stored in bucket:
             wide = stored[1]
             if wide is None:
-                wide = stored[1] = self._abstraction(vector, stored[0])
+                wide = stored[1] = self._abstract(vector, stored[0])
             if wide.includes(zone):
-                return True
-        return False
-
-    def add(self, state: StateZone) -> None:
-        """Store the state ``subsumed`` was last asked about."""
-        if self.mode == "equal":
-            self.keys.add(self._key)
-        else:
-            self.zones.setdefault(state.locations, []).append([state.zone, None])
+                return False
+        bucket.append([zone, None])
+        return True
 
 
 @dataclass
@@ -324,7 +319,7 @@ def explore(net: Network, query: Query, options: Optional[SearchOptions] = None)
     root = root_state(search)
     if root is None:
         return result(Verdict.UNREACHABLE)
-    visited = _Visited(options.subsumption, search.abstraction if search.lu else None)
+    visited = _Visited(search, options.subsumption)
     worklist: deque[_Node] = deque()
     node, batch = None, [(None, root)]  # the root is offered like any successor
     while True:
@@ -332,12 +327,12 @@ def explore(net: Network, query: Query, options: Optional[SearchOptions] = None)
             child = _Node(succ, node, label)
             if is_goal(succ, query.target):
                 return result(Verdict.REACHABLE, witness=_trace(child))
-            if visited.subsumed(succ):
+            if not visited.insert(succ):
                 stats.subsumed += 1
                 continue
+            # A state stored past the limit goes with the visited set.
             if options.max_zones is not None and stats.stored >= options.max_zones:
                 return result(Verdict.INCONCLUSIVE, reason="zone limit exceeded")
-            visited.add(succ)
             stats.stored += 1
             worklist.append(child)
         if not worklist:

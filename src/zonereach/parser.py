@@ -120,25 +120,28 @@ class _Parser:
     def fail(self, tok: Token, message: str):
         raise ParseError([Diagnostic(tok.line, tok.col, message)])
 
-    def expect_word(self, what: str) -> Token:
+    def _expect(self, kind: str, text: Optional[str], what: str) -> Token:
+        """The next token, of ``kind`` and spelled ``text`` unless that is
+        None; otherwise fail with "expected <what>"."""
         tok = self.advance()
-        if tok.kind != "word":
-            self.fail(tok, f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}, found end of input")
+        if tok.kind != kind or (text is not None and tok.text != text):
+            found = repr(tok.text) if tok.text else "end of input"
+            self.fail(tok, f"expected {what}, found {found}")
         return tok
+
+    def expect_word(self, what: str) -> Token:
+        return self._expect("word", None, what)
 
     def expect_punct(self, mark: str) -> Token:
-        tok = self.advance()
-        if tok.kind != "punct" or tok.text != mark:
-            found = repr(tok.text) if tok.text else "end of input"
-            self.fail(tok, f"expected {mark!r}, found {found}")
-        return tok
+        return self._expect("punct", mark, repr(mark))
 
     def expect_keyword(self, word: str) -> Token:
-        tok = self.advance()
-        if tok.kind != "word" or tok.text != word:
-            found = repr(tok.text) if tok.text else "end of input"
-            self.fail(tok, f"expected {word!r}, found {found}")
-        return tok
+        return self._expect("word", word, repr(word))
+
+    def expect_end(self) -> None:
+        tok = self.peek()
+        if tok.kind != "eof":
+            self.fail(tok, f"unexpected trailing input {tok.text!r}")
 
     def at_nil(self) -> bool:
         """Consume a closing ``nil`` if it comes next."""
@@ -149,6 +152,12 @@ class _Parser:
         return False
 
     # -- shared pieces --------------------------------------------------
+
+    def clock(self, tok: Token, clocks: dict[str, ClockId]) -> ClockId:
+        """The declared clock ``tok`` names."""
+        if tok.text not in clocks:
+            self.fail(tok, f"unknown clock {tok.text!r}")
+        return clocks[tok.text]
 
     def identifier_list(self, what: str) -> list[Token]:
         """Words up to and including the closing ``nil``."""
@@ -195,23 +204,17 @@ class _Parser:
             nxt = self.peek()
             if nxt.kind == "word" and nxt.text == "-":
                 self.advance()
-                rhs_tok = self.expect_word("a clock")
-                if rhs_tok.text not in clocks:
-                    self.fail(rhs_tok, f"unknown clock {rhs_tok.text!r}")
-                return lhs, clocks[rhs_tok.text]
+                return lhs, self.clock(self.expect_word("a clock"), clocks)
             if nxt.kind == "word" and nxt.text.startswith("-") and nxt.text[1:] in clocks:
                 self.advance()
                 return lhs, clocks[nxt.text[1:]]
             return lhs, None
         if word.endswith("-") and word[:-1] in clocks:
-            rhs_tok = self.expect_word("a clock")
-            if rhs_tok.text not in clocks:
-                self.fail(rhs_tok, f"unknown clock {rhs_tok.text!r}")
-            return clocks[word[:-1]], clocks[rhs_tok.text]
+            return clocks[word[:-1]], self.clock(self.expect_word("a clock"), clocks)
         for cut in range(1, len(word)):
             if word[cut] == "-" and word[:cut] in clocks and word[cut + 1 :] in clocks:
                 return clocks[word[:cut]], clocks[word[cut + 1 :]]
-        self.fail(tok, f"unknown clock {word!r}")
+        return self.clock(tok, clocks), None  # neither a clock nor a difference: fails
 
     def constraint(self, clocks: dict[str, ClockId]) -> ClockConstraint:
         atoms = []
@@ -221,10 +224,7 @@ class _Parser:
                 self.advance()
                 return ClockConstraint(tuple(atoms))
             lhs, rhs = self.clock_sides(clocks)
-            op_tok = self.advance()
-            if op_tok.kind != "op":
-                found = repr(op_tok.text) if op_tok.text else "end of input"
-                self.fail(op_tok, f"expected a comparison operator, found {found}")
+            op_tok = self._expect("op", None, "a comparison operator")
             const = self.number()
             atoms.append(Atom(lhs, rhs, op_tok.text, const))
             self.expect_punct("^")
@@ -272,9 +272,7 @@ class _Parser:
 
         self.expect_keyword("Automata")
         automata = []
-        while True:
-            if self.at_nil():
-                break
+        while not self.at_nil():
             self.expect_punct("(")
             self.expect_keyword("Locations")
             own_locations = tuple(resolve_location(t) for t in self.identifier_list("location"))
@@ -282,29 +280,20 @@ class _Parser:
             own_labels = tuple(resolve_label(t) for t in self.identifier_list("label"))
             self.expect_keyword("Invariants")
             invariants = {}
-            while True:
-                if self.at_nil():
-                    break
+            while not self.at_nil():
                 loc_tok = self.expect_word("a location or 'nil'")
                 self.expect_punct(":")
                 invariants[resolve_location(loc_tok)] = self.constraint(clock_map)
             self.expect_keyword("Transitions")
             transitions = []
-            while True:
-                if self.at_nil():
-                    break
+            while not self.at_nil():
                 source = resolve_location(self.expect_word("a location or 'nil'"))
                 self.expect_punct(",")
                 label = resolve_label(self.expect_word("a label"))
                 self.expect_punct(":")
                 guard = self.constraint(clock_map)
                 self.expect_punct(",")
-                resets = []
-                for t in self.identifier_list("clock"):
-                    if t.text not in clock_map:
-                        self.fail(t, f"unknown clock {t.text!r}")
-                    resets.append(clock_map[t.text])
-                resets = tuple(resets)
+                resets = tuple(self.clock(t, clock_map) for t in self.identifier_list("clock"))
                 self.expect_punct(",")
                 target = resolve_location(self.expect_word("a location"))
                 self.expect_punct(".")
@@ -313,9 +302,7 @@ class _Parser:
             self.expect_punct(".")
             automata.append(Automaton(own_locations, own_labels, invariants, tuple(transitions)))
         self.expect_keyword("end")
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.fail(tok, f"unexpected trailing input {tok.text!r}")
+        self.expect_end()
         return Network(name.text, clocks, locations, labels, tuple(automata))
 
     # -- queries ----------------------------------------------------------
@@ -327,9 +314,7 @@ class _Parser:
         self.expect_punct(",")
         target = self.state_pattern(net)
         self.expect_punct(")")
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.fail(tok, f"unexpected trailing input {tok.text!r}")
+        self.expect_end()
         return Query(source, target)
 
     def state_pattern(self, net: Network) -> StatePattern:

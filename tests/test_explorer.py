@@ -23,6 +23,7 @@ from zonereach.explorer import (
     SearchOptions,
     StateZone,
     Verdict,
+    _Visited,
     explore,
     is_goal,
     replay_witness,
@@ -194,6 +195,28 @@ def test_inclusion_never_stores_more_than_equality(train_net, queries):
     assert equal.stored == 9
 
 
+@pytest.mark.parametrize(
+    "options",
+    [SearchOptions(), SearchOptions(subsumption="equal"), FAITHFUL],
+    ids=["include", "equal", "equal-exact"],
+)
+def test_the_visited_set_keeps_one_bucket_per_vector(train_net, queries, options):
+    inside, _ = queries
+    search = Search(train_net, inside, options)
+    assert search.lu is options.extrapolate
+    here, there = itertools.islice(
+        itertools.product(*(aut.locations for aut in train_net.automata)), 2
+    )
+    visited = _Visited(search, options.subsumption)
+    zone = root_state(search).zone
+    # one zone offered at two vectors is stored at both
+    assert visited.insert(StateZone(here, zone))
+    assert visited.insert(StateZone(there, zone))
+    # offered again, as a fresh but equal zone, it is pruned at either
+    for vector in (here, there, here):
+        assert not visited.insert(StateZone(vector, root_state(search).zone))
+
+
 def test_resource_limits_are_inconclusive_not_wrong(train_net, queries):
     inside, unsafe = queries
     capped = explore(train_net, unsafe, SearchOptions(max_zones=1))
@@ -270,12 +293,12 @@ def test_inactive_clocks_leave_the_goal_clocks_alone(train_net, unreduced):
         q = parse_query(text, train_net)
         search = Search(train_net, q)
         for vector in vectors:
-            assert q.target.constraint.clocks.isdisjoint(search.entry(vector)[1])
+            assert q.target.constraint.clocks.isdisjoint(train_net.freed(vector, search.keep))
     first = parse_query(next(iter(cases)), train_net)
     clockless = parse_query(INSIDE, train_net)
     assert first.target.locations == clockless.target.locations
-    assert names(Search(train_net, clockless).entry(first.target.locations)[1]) == ["Y", "Z"]
-    assert names(Search(train_net, first).entry(first.target.locations)[1]) == ["Y"]
+    assert names(train_net.freed(first.target.locations, Search(train_net, clockless).keep)) == ["Y", "Z"]
+    assert names(train_net.freed(first.target.locations, Search(train_net, first).keep)) == ["Y"]
 
 
 def test_searches_sharing_a_network_answer_as_on_a_fresh_copy(train_net):
