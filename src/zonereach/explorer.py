@@ -15,13 +15,13 @@ successor:
     the invariants -> free the inactive clocks
 
 where the double invariant constraint is exact because invariants
-are convex.  A clock is inactive at a vector when no automaton reads
-it before resetting it (``Network.active``) and the goal constraint
-does not read it either; its value carries no information, so
-forgetting it is exact and merges zones that differ only there (Daws
-& Yovine, RTSS 1996).  Guards, invariants and goal constraints are
-applied to the zone directly with ``constrain``; no zone is built for
-them.
+are convex.  A clock is inactive at a vector when it has no L/U
+entry at any of its locations (``Network.lu_bounds``: no automaton
+reads it before resetting it) and the goal constraint does not read
+it either; its value carries no information, so forgetting it is
+exact and merges zones that differ only there (Daws & Yovine, RTSS
+1996).  Guards, invariants and goal constraints are applied to the
+zone directly with ``constrain``; no zone is built for them.
 
 Stored zones are therefore exact, and the abstraction that makes the
 search finite sits in the subsumption test only (Herbreteau,
@@ -36,15 +36,15 @@ widening past the maximum constants ``k`` instead (Extra_M), and
 stored zones are compared as they are.  ``SearchOptions(extrapolate=
 False)`` uses neither abstraction.
 
-What follows from the network and a location vector alone lives on
-the ``Network``, built the first time any search reaches the vector:
-its merged moves (``Network.moves``), its invariant and the clocks
-freed on entering it (``Network.freed``, kept per vector and set of
-target clocks).  A ``Search`` holds what one query adds: the zone
-type, the abstraction (``k`` or LU) and per vector the L and U bounds
-raised to the target's constants.  ``root_state`` and ``successors``
-take it, so ``explore`` and ``replay_witness`` walk the same successor
-relation.
+What follows from the network, a location vector and the goal
+constraint lives on the ``Network``, built the first time any search
+reaches the vector: its merged moves (``Network.moves``), and per goal
+constraint one ``Network.entry`` with its invariant, the clocks freed
+on entering it and the L and U bounds raised to the goal's constants,
+all of them read off ``Network.lu_bounds``.  A ``Search`` holds what
+one query adds: the zone type and the abstraction (``k`` or LU).
+``root_state`` and ``successors`` take it, so ``explore`` and
+``replay_witness`` walk the same successor relation.
 
 The search is a plain worklist (LIFO or FIFO).  Every new state, the
 source state included, is goal-tested before the visited check, so a
@@ -68,16 +68,13 @@ from typing import Iterator, Optional, Sequence, Union
 from .dbm import Dbm
 from .formula import Formula
 from .model import (
-    ClockId,
     LabelId,
-    LocationId,
+    LocationVector,
     Network,
     Query,
     StatePattern,
     max_constants,
 )
-
-LocationVector = tuple[LocationId, ...]
 
 # Both zone types offer the same surface: ``from_constraint(c, clocks)``,
 # ``constrain`` (intersection with a constraint), ``reset``, ``free``,
@@ -150,15 +147,16 @@ class ExploreResult:
 
 class Search:
     """What one search derives from ``(net, query, options)``: the zone
-    type, the clocks the goal test reads (``keep``, never freed) and the
-    abstraction in use.  Per-vector invariants, moves and freed clocks
-    come from the network, which keeps them for every search.
+    type and the abstraction in use.  What a zone meets on entering a
+    vector (invariant, freed clocks, L and U) is one ``Network.entry``
+    per vector and target constraint, which the network keeps for every
+    search.
 
     Without diagonal atoms in the network's guards and invariants or in
-    the target, stored zones stay exact and ``lu`` is set: a vector's L
-    and U bounds (``bounds``) drive Extra⁺_LU in the visited set.
-    With them, LU is unsound and stored zones are widened past the
-    maximum constants ``k`` on entry instead (Extra_M).  Under
+    the target, stored zones stay exact and ``lu`` is set: the entry's
+    ``lower`` and ``upper`` drive Extra⁺_LU in the visited set.  With
+    them, LU is unsound and stored zones are widened past the maximum
+    constants ``k`` on entry instead (Extra_M).  Under
     ``SearchOptions(extrapolate=False)`` there is neither: ``k`` is None
     and ``lu`` is False."""
 
@@ -169,42 +167,20 @@ class Search:
         self.query = query
         self.zone_type = ZONE_TYPES[options.backend]
         target = query.target.constraint
-        self.keep = target.clocks
         diagonal = net.has_diagonal or any(atom.rhs is not None for atom in target.atoms)
         self.k = max_constants(net, query) if options.extrapolate and diagonal else None
         self.lu = options.extrapolate and not diagonal
-        self._bounds: dict = {}
-
-    def bounds(self, vector: LocationVector) -> tuple[dict[ClockId, int], dict[ClockId, int]]:
-        """The vector's L and U, computed once: per clock the largest
-        bound at any of its locations (``Network.lu_bounds``), at least
-        the magnitude of every target atom on the clock, and 0 where
-        there is no constant."""
-        found = self._bounds.get(vector)
-        if found is None:
-            lower = {clock: 0 for clock in self.net.clocks}
-            for atom in self.query.target.constraint.atoms:
-                lower[atom.lhs] = max(lower[atom.lhs], abs(int(atom.const)))
-            upper = dict(lower)
-            for table, loc in zip(self.net.lu_bounds, vector):
-                for clock, (low, up) in table[loc].items():
-                    if low is not None and low > lower[clock]:
-                        lower[clock] = low
-                    if up is not None and up > upper[clock]:
-                        upper[clock] = up
-            found = self._bounds[vector] = (lower, upper)
-        return found
 
     def enter(self, vector: LocationVector, zone: Zone) -> Optional[StateZone]:
         """The stored state of a zone entering a location vector: the zone
         constrained by the vector's invariant, delayed within it, its
         inactive clocks freed, and widened past ``k`` unless ``k`` is None;
         None when the invariant leaves nothing."""
-        invariant = self.net.invariant(vector)
-        zone = zone.constrain(invariant)
+        entry = self.net.entry(vector, self.query.target.constraint)
+        zone = zone.constrain(entry.invariant)
         if zone.is_empty():
             return None
-        zone = zone.elapse().constrain(invariant).free(self.net.freed(vector, self.keep))
+        zone = zone.elapse().constrain(entry.invariant).free(entry.freed)
         if self.k is not None:
             zone = zone.extrapolate(self.k)
         return StateZone(vector, zone)
@@ -242,19 +218,24 @@ class _Visited:
     new zone is pruned when it lies inside the abstraction of a zone
     stored at the same vector (``include``), or when the two zones'
     abstractions are equal (``equal``).  The abstraction is Extra⁺_LU
-    with the vector's bounds when ``search.lu`` is set, else the zone
-    itself.  Under ``equal`` a bucket is the set of its abstractions'
-    keys; under ``include`` it holds ``[zone, abstraction-or-None]``: a
-    stored zone's abstraction is computed the first time a new zone is
-    compared against it, then kept."""
+    with the ``lower`` and ``upper`` of the vector's ``Network.entry``
+    when ``search.lu`` is set, else the zone itself.  Under ``equal`` a
+    bucket is the set of its abstractions' keys; under ``include`` it
+    holds ``[zone, abstraction-or-None]``: a stored zone's abstraction
+    is computed the first time a new zone is compared against it, then
+    kept."""
 
     def __init__(self, search: Search, mode: str):
         self.equal = mode == "equal"
-        self.bounds = search.bounds if search.lu else None
+        self.net = search.net
+        self.reads = search.query.target.constraint if search.lu else None
         self.buckets: dict[LocationVector, Union[set, list[list]]] = {}
 
     def _abstract(self, vector: LocationVector, zone: Zone) -> Zone:
-        return zone if self.bounds is None else zone.extrapolate_lu(*self.bounds(vector))
+        if self.reads is None:
+            return zone
+        entry = self.net.entry(vector, self.reads)
+        return zone.extrapolate_lu(entry.lower, entry.upper)
 
     def insert(self, state: StateZone) -> bool:
         """Store the state unless it is pruned; False when it is pruned."""

@@ -35,6 +35,10 @@ class LabelId(NamedTuple):
     index: int
 
 
+# One location per automaton, in the network's automaton order.
+LocationVector = tuple[LocationId, ...]
+
+
 COMPARISON_OPS = ("<", "<=", "=", ">=", ">")
 
 Number = Union[int, Fraction]
@@ -152,16 +156,10 @@ class Network:
         constants the automaton may compare the clock against from below
         (L) and from above (U) there or later, before it resets the clock
         (Behrmann, Bouyer, Larsen & Pelánek, 2006); None where it never
-        does.  A clock without an entry is read nowhere ahead."""
+        does.  A clock without an entry is read nowhere ahead: it is
+        inactive there (Daws & Yovine, RTSS 1996), and its value carries
+        no information."""
         return tuple(_lu_bounds(aut) for aut in self.automata)
-
-    @cached_property
-    def active(self) -> tuple[dict[LocationId, frozenset[ClockId]], ...]:
-        """Per automaton: location -> its active clocks (Daws & Yovine,
-        RTSS 1996), those it may read before it resets them: the clocks
-        with an entry in ``lu_bounds``.  The others carry no information
-        there."""
-        return tuple({loc: frozenset(table) for loc, table in lu.items()} for lu in self.lu_bounds)
 
     @cached_property
     def has_diagonal(self) -> bool:
@@ -175,18 +173,14 @@ class Network:
     # network; ``dataclasses.replace(net)`` gives a copy with none built.
 
     @cached_property
-    def _moves(self) -> dict[tuple[LocationId, ...], tuple[Move, ...]]:
+    def _moves(self) -> dict[LocationVector, tuple[Move, ...]]:
         return {}
 
     @cached_property
-    def _invariants(self) -> dict[tuple[LocationId, ...], ClockConstraint]:
+    def _entries(self) -> dict[tuple[LocationVector, ClockConstraint], Entry]:
         return {}
 
-    @cached_property
-    def _freed(self) -> dict[tuple[tuple[LocationId, ...], frozenset[ClockId]], tuple[ClockId, ...]]:
-        return {}
-
-    def moves(self, vector: tuple[LocationId, ...]) -> tuple[Move, ...]:
+    def moves(self, vector: LocationVector) -> tuple[Move, ...]:
         """The vector's joint moves in ``joint_moves`` order, each merged
         into ``(label, guard, resets, target vector)``: the conjunction of
         the moving automata's guards, their resets without repeats, and
@@ -198,36 +192,52 @@ class Network:
             )
         return found
 
-    def invariant(self, vector: tuple[LocationId, ...]) -> ClockConstraint:
-        """The conjunction of the invariants of the vector's locations."""
-        found = self._invariants.get(vector)
+    def entry(self, vector: LocationVector, reads: ClockConstraint) -> Entry:
+        """What a zone entering the vector meets when the goal test reads
+        ``reads``, all of it from ``lu_bounds``: the conjunction of the
+        vector's invariants; the clocks, in declaration order, with no
+        entry at any of its locations and not in ``reads.clocks``; and
+        per clock the largest L and U over its locations, at least the
+        magnitude of every ``reads`` atom on the clock (its ``lhs``), 0
+        where there is no constant.  Kept per ``(vector, reads)``, since
+        searches for different targets keep different clocks and
+        constants."""
+        key = (vector, reads)
+        found = self._entries.get(key)
         if found is None:
             invariants = (aut.invariants[loc] for aut, loc in zip(self.automata, vector))
             atoms = tuple(atom for inv in invariants for atom in inv.atoms)
-            found = self._invariants[vector] = ClockConstraint(atoms)
+            lower = {clock: 0 for clock in self.clocks}
+            for atom in reads.atoms:
+                lower[atom.lhs] = max(lower[atom.lhs], abs(int(atom.const)))
+            upper = dict(lower)
+            live = set(reads.clocks)
+            for table, loc in zip(self.lu_bounds, vector):
+                for clock, (low, up) in table[loc].items():
+                    live.add(clock)
+                    if low is not None and low > lower[clock]:
+                        lower[clock] = low
+                    if up is not None and up > upper[clock]:
+                        upper[clock] = up
+            freed = tuple(clock for clock in self.clocks if clock not in live)
+            found = self._entries[key] = Entry(ClockConstraint(atoms), freed, lower, upper)
         return found
 
-    def freed(self, vector: tuple[LocationId, ...], keep: frozenset[ClockId]) -> tuple[ClockId, ...]:
-        """The clocks a zone entering the vector may forget, in declaration
-        order: those inactive at every location of the vector (``active``)
-        and outside ``keep``, the clocks the goal test reads.  Kept per
-        ``(vector, keep)``, since searches for different targets keep
-        different clocks."""
-        key = (vector, keep)
-        found = self._freed.get(key)
-        if found is None:
-            live = keep.union(*(table[loc] for table, loc in zip(self.active, vector)))
-            found = self._freed[key] = tuple(c for c in self.clocks if c not in live)
-        return found
+
+class Entry(NamedTuple):
+    """One location vector's ``Network.entry`` for one goal constraint."""
+
+    invariant: ClockConstraint
+    freed: tuple[ClockId, ...]
+    lower: dict[ClockId, int]
+    upper: dict[ClockId, int]
 
 
 # One merged joint move: label, guard, resets, target vector.
-Move = tuple[LabelId, ClockConstraint, tuple[ClockId, ...], tuple[LocationId, ...]]
+Move = tuple[LabelId, ClockConstraint, tuple[ClockId, ...], LocationVector]
 
 
-def _merged(
-    vector: tuple[LocationId, ...], label: LabelId, combo: tuple[tuple[int, Transition], ...]
-) -> Move:
+def _merged(vector: LocationVector, label: LabelId, combo: tuple[tuple[int, Transition], ...]) -> Move:
     atoms: list[Atom] = []
     resets: list[ClockId] = []
     target = list(vector)
@@ -297,7 +307,7 @@ def _lu_bounds(aut: Automaton) -> dict[LocationId, dict[ClockId, LUBound]]:
 class StatePattern:
     """A location vector plus a clock constraint, one side of a query."""
 
-    locations: tuple[LocationId, ...]
+    locations: LocationVector
     constraint: ClockConstraint
 
 
@@ -394,16 +404,21 @@ def validate(net: Network) -> Network:
     return net
 
 
+def scale_constant(const: Number, factor: int, written: Optional[str] = None) -> int:
+    """``const * factor`` as an integer.  Raises ValueError naming the
+    constant (as ``written`` when given) when the product is not an
+    integer or its magnitude exceeds ``bounds.MAX_CONSTANT``."""
+    scaled = const * factor
+    name = const if written is None else written
+    if scaled != int(scaled):
+        raise ValueError(f"constant {name} does not scale to an integer by {factor}")
+    if abs(scaled) > MAX_CONSTANT:
+        raise ValueError(f"constant {name} exceeds {MAX_CONSTANT} once scaled by {factor}")
+    return int(scaled)
+
+
 def _scaled_constraint(c: ClockConstraint, factor: int) -> ClockConstraint:
-    atoms = []
-    for atom in c.atoms:
-        const = atom.const * factor
-        if const != int(const):
-            raise ValueError(f"constant {atom.const} does not scale to an integer by {factor}")
-        if abs(const) > MAX_CONSTANT:
-            raise ValueError(f"constant {atom.const} exceeds {MAX_CONSTANT} once scaled by {factor}")
-        atoms.append(atom._replace(const=int(const)))
-    return ClockConstraint(tuple(atoms))
+    return ClockConstraint(tuple(a._replace(const=scale_constant(a.const, factor)) for a in c.atoms))
 
 
 def _constraint_denominator(c: ClockConstraint) -> int:
@@ -453,32 +468,27 @@ def max_constants(net: Network, query: Query | None = None) -> dict[ClockId, int
     """Per-clock maximum constant over guards, invariants and the query.
 
     The magnitude of the constant is what matters for the coarsening of
-    zones, so negative constants contribute their absolute value.  A
-    clock never compared anywhere gets 0.
+    zones, so negative constants contribute their absolute value.  The
+    network's part is the clock's largest L or U anywhere in
+    ``Network.lu_bounds``, which takes in every guard and invariant
+    atom; a query atom counts for both of its clocks.  A clock never
+    compared anywhere gets 0.
     """
     k = {clock: 0 for clock in net.clocks}
-
-    def feed(c: ClockConstraint) -> None:
-        for atom in c.atoms:
-            magnitude = abs(int(atom.const))
-            if magnitude > k[atom.lhs]:
-                k[atom.lhs] = magnitude
-            if atom.rhs is not None and magnitude > k[atom.rhs]:
-                k[atom.rhs] = magnitude
-
-    for aut in net.automata:
-        for inv in aut.invariants.values():
-            feed(inv)
-        for t in aut.transitions:
-            feed(t.guard)
+    for table in net.lu_bounds:
+        for bounds in table.values():
+            for clock, lu in bounds.items():
+                k[clock] = max(k[clock], *(b for b in lu if b is not None))
     if query is not None:
-        feed(query.source.constraint)
-        feed(query.target.constraint)
+        for atom in query.source.constraint.atoms + query.target.constraint.atoms:
+            for clock in (atom.lhs, atom.rhs):
+                if clock is not None:
+                    k[clock] = max(k[clock], abs(int(atom.const)))
     return k
 
 
 def joint_moves(
-    net: Network, locations: tuple[LocationId, ...]
+    net: Network, locations: LocationVector
 ) -> Iterator[tuple[LabelId, tuple[tuple[int, Transition], ...]]]:
     """Every joint move from a location vector, in declaration order.
 

@@ -34,7 +34,7 @@ from .model import (
     StatePattern,
     Transition,
     normalize_constants,
-    scale_constraint,
+    scale_constant,
     validate,
 )
 
@@ -216,7 +216,10 @@ class _Parser:
                 return clocks[word[:cut]], clocks[word[cut + 1 :]]
         return self.clock(tok, clocks), None  # neither a clock nor a difference: fails
 
-    def constraint(self, clocks: dict[str, ClockId]) -> ClockConstraint:
+    def constraint(self, clocks: dict[str, ClockId], scale: Optional[int] = None) -> ClockConstraint:
+        """``atom ^ ... ^ true``.  With ``scale``, each constant is brought
+        onto it as it is read, and one that cannot be fails at its own
+        token, quoted as written."""
         atoms = []
         while True:
             tok = self.peek()
@@ -225,7 +228,14 @@ class _Parser:
                 return ClockConstraint(tuple(atoms))
             lhs, rhs = self.clock_sides(clocks)
             op_tok = self._expect("op", None, "a comparison operator")
+            start = self.pos
             const = self.number()
+            if scale is not None:
+                written = "".join(t.text for t in self.tokens[start : self.pos])
+                try:
+                    const = scale_constant(const, scale, written)
+                except ValueError as err:
+                    self.fail(self.tokens[start], str(err))
             atoms.append(Atom(lhs, rhs, op_tok.text, const))
             self.expect_punct("^")
 
@@ -333,13 +343,7 @@ class _Parser:
                 self.fail(tok, f"{tok.text!r} is not a location of automaton {i}")
             vector.append(candidates[tok.text])
         self.expect_punct("/")
-        clock_map = {c.name: c for c in net.clocks}
-        raw = self.constraint(clock_map)
-        try:
-            constraint = scale_constraint(raw, net)
-        except ValueError as err:
-            tok = self.peek()
-            self.fail(tok, str(err))
+        constraint = self.constraint({c.name: c for c in net.clocks}, net.scale)
         return StatePattern(tuple(vector), constraint)
 
 

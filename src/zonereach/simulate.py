@@ -23,7 +23,7 @@ from .model import (
     ClockConstraint,
     ClockId,
     LabelId,
-    LocationId,
+    LocationVector,
     Network,
     Query,
     Transition,
@@ -31,7 +31,6 @@ from .model import (
 )
 
 Valuation = dict[ClockId, Fraction]
-LocationVector = tuple[LocationId, ...]
 
 
 def invariants_hold(net: Network, locations: LocationVector, v: Valuation) -> bool:

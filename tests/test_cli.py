@@ -141,7 +141,7 @@ def test_constant_near_the_bound_sentinel_is_refused(run, tmp_path):
     query = "go(Far.Up.u0.nil/true, Far.Up.u0.nil/X>2000000000000 ^ true)"
     code, out, err = run(TRAIN_PATH, "--query", query)
     assert code == cli.BAD_INPUT and out == ""
-    assert err.startswith(f"query {query!r}: line 1, col 60: constant 2000000000000 exceeds ")
+    assert err.startswith(f"query {query!r}: line 1, col 40: constant 2000000000000 exceeds ")
 
 
 def test_faithful_still_answers_the_bounded_system(run):

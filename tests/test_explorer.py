@@ -54,21 +54,17 @@ def names(ids):
     return [x.name for x in ids]
 
 
-def every_clock_active(net):
-    """The active-clock table of a search that frees nothing."""
-    return tuple({loc: frozenset(net.clocks) for loc in aut.locations} for aut in net.automata)
-
-
 @pytest.fixture
 def unreduced(monkeypatch):
     """Run a search with every clock active everywhere, then restore.
     The search gets a fresh copy of the network: the network keeps the
     clocks it frees per vector, and neither the copy's tables may come
     from the reduced search nor the original's from this one."""
+    entry = Network.entry
 
     def run(search, net, *args):
         with monkeypatch.context() as patch:
-            patch.setattr(Network, "active", property(every_clock_active))
+            patch.setattr(Network, "entry", lambda *args: entry(*args)._replace(freed=()))
             return search(dataclasses.replace(net), *args)
 
     return run
@@ -291,14 +287,15 @@ def test_inactive_clocks_leave_the_goal_clocks_alone(train_net, unreduced):
     vectors = list(itertools.product(*(aut.locations for aut in train_net.automata)))
     for text in cases:
         q = parse_query(text, train_net)
-        search = Search(train_net, q)
+        target = q.target.constraint
         for vector in vectors:
-            assert q.target.constraint.clocks.isdisjoint(train_net.freed(vector, search.keep))
+            assert target.clocks.isdisjoint(train_net.entry(vector, target).freed)
     first = parse_query(next(iter(cases)), train_net)
     clockless = parse_query(INSIDE, train_net)
     assert first.target.locations == clockless.target.locations
-    assert names(train_net.freed(first.target.locations, Search(train_net, clockless).keep)) == ["Y", "Z"]
-    assert names(train_net.freed(first.target.locations, Search(train_net, first).keep)) == ["Y"]
+    vector = first.target.locations
+    assert names(train_net.entry(vector, clockless.target.constraint).freed) == ["Y", "Z"]
+    assert names(train_net.entry(vector, first.target.constraint).freed) == ["Y"]
 
 
 def test_searches_sharing_a_network_answer_as_on_a_fresh_copy(train_net):
@@ -373,8 +370,8 @@ def test_target_constants_refine_the_subsumption_test():
     # s2 reached only with x>=3.
     net = parse_spec(TARGET_BOUNDS_SPEC)
     q = parse_query("go(s0.nil/x=0 ^ true, s2.nil/x<=1 ^ true)", net)
-    search = Search(net, q)
-    assert search.lu and search.bounds(q.target.locations) == ({net.clocks[0]: 1},) * 2
+    entry = net.entry(q.target.locations, q.target.constraint)
+    assert Search(net, q).lu and (entry.lower, entry.upper) == ({net.clocks[0]: 1},) * 2
     for options in ALL_CONFIGS + [FAITHFUL]:
         result = explore(net, q, options)
         assert result.verdict is Verdict.REACHABLE

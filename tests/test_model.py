@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 import gen
-from zonereach import parse_spec
+from test_parser import random_network
+from zonereach import parse_query, parse_spec
 from zonereach.model import (
     Atom,
     Automaton,
@@ -179,6 +181,74 @@ def test_max_constants_defaults_to_zero():
     assert max_constants(net) == {X: 0, Y: 0}
 
 
+def _atom_walk(net, query):
+    """``max_constants`` as a walk over every atom: per clock the largest
+    magnitude of any guard, invariant or query atom that reads it."""
+    k = {clock: 0 for clock in net.clocks}
+    constraints = [inv for aut in net.automata for inv in aut.invariants.values()]
+    constraints += [t.guard for aut in net.automata for t in aut.transitions]
+    if query is not None:
+        constraints += [query.source.constraint, query.target.constraint]
+    for c in constraints:
+        for atom in c.atoms:
+            for clock in (atom.lhs, atom.rhs):
+                if clock is not None:
+                    k[clock] = max(k[clock], abs(int(atom.const)))
+    return k
+
+
+def _random_atoms(rng, net):
+    atoms = []
+    for _ in range(rng.randint(0, 3)):
+        lhs = rng.choice(net.clocks)
+        others = [c for c in net.clocks if c != lhs]
+        rhs = rng.choice(others) if others and rng.random() < 0.4 else None
+        op = rng.choice(("<", "<=", "=", ">=", ">"))
+        atoms.append(Atom(lhs, rhs, op, rng.randint(-9, 9) * net.scale))
+    return ClockConstraint(tuple(atoms))
+
+
+def test_max_constants_equals_the_walk_over_every_atom():
+    rng = random.Random(14)
+    diagonal = 0
+    for _ in range(500):
+        net = normalize_constants(validate(random_network(rng)))
+        diagonal += net.has_diagonal
+        locations = tuple(aut.locations[0] for aut in net.automata)
+        query = Query(StatePattern(locations, _random_atoms(rng, net)),
+                      StatePattern(locations, _random_atoms(rng, net)))
+        assert max_constants(net) == _atom_walk(net, None)
+        assert max_constants(net, query) == _atom_walk(net, query)
+    assert diagonal > 100
+
+
+def names(ids):
+    return [x.name for x in ids]
+
+
+def test_an_entry_is_kept_per_vector_and_goal_constraint(train_net):
+    def target(text):
+        return parse_query(f"go(Far.Up.u0.nil/true, In.Down.u0.nil/{text})", train_net).target
+
+    net = train_net
+    low, high, reads_z = target("X<=1 ^ true"), target("X<=7 ^ true"), target("Z>1 ^ true")
+    vector = low.locations
+    entry = net.entry(vector, low.constraint)
+    assert entry is net.entry(vector, low.constraint)
+    assert entry is net.entry(vector, ClockConstraint(low.constraint.atoms))  # equal, not same
+    # one vector, two goal constants: X's L and U follow the goal, and U
+    # never drops below the invariant's X<=5 at In
+    by_name = {c.name: c for c in net.clocks}
+    x = by_name["X"]
+    assert (entry.lower[x], entry.upper[x]) == (1, 5)
+    wide = net.entry(vector, high.constraint)
+    assert (wide.lower[x], wide.upper[x]) == (7, 7)
+    # one vector, goals reading different clocks: each keeps its own
+    assert names(entry.freed) == ["Y", "Z"]
+    assert names(net.entry(vector, reads_z.constraint).freed) == ["Y"]
+    assert entry.invariant == train_net.automata[0].invariants[vector[0]]
+
+
 def test_automaton_of_label(train_net):
     by_name = {label.name: label for label in train_net.labels}
     assert train_net.participants[by_name["app"]] == (0, 2)
@@ -188,8 +258,8 @@ def test_automaton_of_label(train_net):
 
 def active_names(net):
     return [
-        {loc.name: sorted(c.name for c in clocks) for loc, clocks in table.items()}
-        for table in net.active
+        {loc.name: sorted(c.name for c in bounds) for loc, bounds in table.items()}
+        for table in net.lu_bounds
     ]
 
 

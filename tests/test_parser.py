@@ -247,6 +247,25 @@ def test_query_diagnostics(train_net):
         assert fragment in err.value.diagnostics[0].message, text
 
 
+def test_query_constant_diagnostics_point_at_the_constant_as_written(train_net):
+    net = parse_spec(SKELETON.format(clocks="X", guard="X<=0.5 ^ true"))  # scale 2
+    half = MAX_CONSTANT // 2 + 1
+    cases = [
+        (train_net, "go(Far.Up.u0.nil/X<0.5 ^ true, In.Down.u0.nil/true)", 20,
+         "constant 0.5 does not scale to an integer by 1"),
+        (net, "go(a.nil/true, b.nil/X>-1.25 ^ true)", 24,
+         "constant -1.25 does not scale to an integer by 2"),
+        (net, f"go(a.nil/X<{half} ^ true, b.nil/true)", 12,
+         f"constant {half} exceeds {MAX_CONSTANT} once scaled by 2"),
+        (net, f"go(a.nil/true, b.nil/X>=0 ^ X>{MAX_CONSTANT + 1} ^ true)", 31,
+         f"constant {MAX_CONSTANT + 1} exceeds {MAX_CONSTANT} once scaled by 2"),
+    ]
+    for against, text, col, message in cases:
+        with pytest.raises(ParseError) as err:
+            parse_query(text, against)
+        assert err.value.diagnostics == [Diagnostic(1, col, message)], text
+
+
 def test_query_constants_follow_the_network_scale():
     text = SKELETON.format(clocks="X", guard="X<=0.5 ^ true")
     net = parse_spec(text)
