@@ -33,18 +33,22 @@ zone, the first time a new zone is compared against it.  LU is
 unsound with diagonal atoms (``x - y # c``); where a guard, an
 invariant or the target has one, entering a vector ends with the
 widening past the maximum constants ``k`` instead (Extra_M), and
-stored zones are compared as they are.  ``SearchOptions(extrapolate=
-False)`` uses neither abstraction.
+stored zones are compared as they are.  Extra_M may reach a goal no
+exact run reaches (Bouyer, FMSD 2004), so its True stands only once
+``replay_witness`` has followed the witness without extrapolation;
+otherwise the search answers Inconclusive.  ``SearchOptions(
+extrapolate=False)`` uses neither abstraction.
 
 What follows from the network, a location vector and the goal
 constraint lives on the ``Network``, built the first time any search
 reaches the vector: its merged moves (``Network.moves``), and per goal
 constraint one ``Network.entry`` with its invariant, the clocks freed
-on entering it and the L and U bounds raised to the goal's constants,
-all of them read off ``Network.lu_bounds``.  A ``Search`` holds what
-one query adds: the zone type and the abstraction (``k`` or LU).
-``root_state`` and ``successors`` take it, so ``explore`` and
-``replay_witness`` walk the same successor relation.
+on entering it and the L and U bounds, read off ``Network.lu_bounds``
+with the goal's atoms bounding L and U like one more guard.  A
+``Search`` holds what one query adds: the zone type and the
+abstraction (``k`` or LU).  ``root_state`` and ``successors`` take
+it, so ``explore`` and ``replay_witness`` walk the same successor
+relation.
 
 The search is a plain worklist (LIFO or FIFO).  Every new state, the
 source state included, is goal-tested before the visited check, so a
@@ -61,7 +65,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator, Optional, Sequence, Union
 
@@ -284,7 +288,8 @@ def explore(net: Network, query: Query, options: Optional[SearchOptions] = None)
 
     True and False verdicts are definitive for the abstraction in use;
     hitting a zone or time limit yields the inconclusive verdict
-    instead, with the reason recorded.
+    instead, with the reason recorded, and so does an Extra_M True
+    whose witness does not replay without extrapolation.
     """
     if options is None:
         options = SearchOptions()
@@ -307,7 +312,11 @@ def explore(net: Network, query: Query, options: Optional[SearchOptions] = None)
         for label, succ in batch:
             child = _Node(succ, node, label)
             if is_goal(succ, query.target):
-                return result(Verdict.REACHABLE, witness=_trace(child))
+                witness = _trace(child)
+                if search.k is not None:  # Extra_M: certify by an exact replay
+                    if not replay_witness(net, query, witness, replace(options, extrapolate=False)):
+                        return result(Verdict.INCONCLUSIVE, reason="witness does not replay exactly")
+                return result(Verdict.REACHABLE, witness=witness)
             if not visited.insert(succ):
                 stats.subsumed += 1
                 continue

@@ -194,31 +194,28 @@ class Network:
 
     def entry(self, vector: LocationVector, reads: ClockConstraint) -> Entry:
         """What a zone entering the vector meets when the goal test reads
-        ``reads``, all of it from ``lu_bounds``: the conjunction of the
-        vector's invariants; the clocks, in declaration order, with no
-        entry at any of its locations and not in ``reads.clocks``; and
-        per clock the largest L and U over its locations, at least the
-        magnitude of every ``reads`` atom on the clock (its ``lhs``), 0
-        where there is no constant.  Kept per ``(vector, reads)``, since
-        searches for different targets keep different clocks and
-        constants."""
+        ``reads``: the conjunction of the vector's invariants; per clock
+        the largest L and U over the ``lu_bounds`` entries of its
+        locations and the ``_atom_bounds`` of the atoms of ``reads``, 0
+        where there is none; and the clocks, in declaration order, that
+        neither feeds.  The goal is one more guard, met at every location
+        of the vector.  Kept per ``(vector, reads)``, since searches for
+        different targets keep different clocks and constants."""
         key = (vector, reads)
         found = self._entries.get(key)
         if found is None:
             invariants = (aut.invariants[loc] for aut, loc in zip(self.automata, vector))
             atoms = tuple(atom for inv in invariants for atom in inv.atoms)
+            bounds = [lu for table, loc in zip(self.lu_bounds, vector) for lu in table[loc].items()]
+            bounds += [lu for atom in reads.atoms for lu in _atom_bounds(atom)]
             lower = {clock: 0 for clock in self.clocks}
-            for atom in reads.atoms:
-                lower[atom.lhs] = max(lower[atom.lhs], abs(int(atom.const)))
             upper = dict(lower)
-            live = set(reads.clocks)
-            for table, loc in zip(self.lu_bounds, vector):
-                for clock, (low, up) in table[loc].items():
-                    live.add(clock)
-                    if low is not None and low > lower[clock]:
-                        lower[clock] = low
-                    if up is not None and up > upper[clock]:
-                        upper[clock] = up
+            for clock, (low, up) in bounds:
+                if low is not None and low > lower[clock]:
+                    lower[clock] = low
+                if up is not None and up > upper[clock]:
+                    upper[clock] = up
+            live = {clock for clock, _ in bounds}
             freed = tuple(clock for clock in self.clocks if clock not in live)
             found = self._entries[key] = Entry(ClockConstraint(atoms), freed, lower, upper)
         return found
@@ -364,7 +361,9 @@ def network_diagnostics(net: Network) -> list[str]:
         for loc in aut.locations:
             if loc not in locations:
                 out.append(f"{where}: location {loc.name!r} not in the global declaration")
-            if loc in claimed:
+            if claimed.get(loc) == idx:
+                out.append(f"{where}: location {loc.name!r} is listed twice")
+            elif loc in claimed:
                 out.append(f"{where}: location {loc.name!r} also belongs to automaton {claimed[loc]}")
             claimed[loc] = idx
         for lab in aut.alphabet:
@@ -454,36 +453,22 @@ def normalize_constants(net: Network) -> Network:
     return replace(net, automata=tuple(automata), scale=net.scale * factor)
 
 
-def scale_constraint(c: ClockConstraint, net: Network) -> ClockConstraint:
-    """Bring a query-side constraint onto the network's integer scale.
-
-    Raises ValueError when a constant cannot be represented at that
-    scale (for example 0.5 against a network whose scale is 1) or its
-    magnitude exceeds ``bounds.MAX_CONSTANT`` there.
-    """
-    return _scaled_constraint(c, net.scale)
-
-
 def max_constants(net: Network, query: Query | None = None) -> dict[ClockId, int]:
     """Per-clock maximum constant over guards, invariants and the query.
 
     The magnitude of the constant is what matters for the coarsening of
-    zones, so negative constants contribute their absolute value.  The
-    network's part is the clock's largest L or U anywhere in
-    ``Network.lu_bounds``, which takes in every guard and invariant
-    atom; a query atom counts for both of its clocks.  A clock never
-    compared anywhere gets 0.
+    zones, so negative constants contribute their absolute value.  It is
+    the clock's largest L or U anywhere in ``Network.lu_bounds``, which
+    takes in every guard and invariant atom, and in the ``_atom_bounds``
+    of the query's atoms.  A clock never compared anywhere gets 0.
     """
     k = {clock: 0 for clock in net.clocks}
-    for table in net.lu_bounds:
-        for bounds in table.values():
-            for clock, lu in bounds.items():
-                k[clock] = max(k[clock], *(b for b in lu if b is not None))
+    bounds = [lu for table in net.lu_bounds for row in table.values() for lu in row.items()]
     if query is not None:
-        for atom in query.source.constraint.atoms + query.target.constraint.atoms:
-            for clock in (atom.lhs, atom.rhs):
-                if clock is not None:
-                    k[clock] = max(k[clock], abs(int(atom.const)))
+        atoms = query.source.constraint.atoms + query.target.constraint.atoms
+        bounds += [lu for atom in atoms for lu in _atom_bounds(atom)]
+    for clock, lu in bounds:
+        k[clock] = max(k[clock], *(b for b in lu if b is not None))
     return k
 
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from functools import partial
+from typing import Mapping, NamedTuple, Optional, TypeVar
 
 from .model import (
     Atom,
@@ -99,6 +100,8 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
+T = TypeVar("T")
+
 _INT = re.compile(r"-?\d+$")
 _DIGITS = re.compile(r"\d+$")
 
@@ -153,11 +156,16 @@ class _Parser:
 
     # -- shared pieces --------------------------------------------------
 
+    def lookup(self, tok: Token, table: Mapping[str, T], message: str) -> T:
+        """The entry ``tok`` names in ``table``; failing that, fail at
+        ``tok`` with ``message``, its ``{!r}`` filled with the name."""
+        if tok.text not in table:
+            self.fail(tok, message.format(tok.text))
+        return table[tok.text]
+
     def clock(self, tok: Token, clocks: dict[str, ClockId]) -> ClockId:
         """The declared clock ``tok`` names."""
-        if tok.text not in clocks:
-            self.fail(tok, f"unknown clock {tok.text!r}")
-        return clocks[tok.text]
+        return self.lookup(tok, clocks, "unknown clock {!r}")
 
     def identifier_list(self, what: str) -> list[Token]:
         """Words up to and including the closing ``nil``."""
@@ -270,15 +278,9 @@ class _Parser:
         location_map = {l.name: l for l in locations}
         label_map = {l.name: l for l in labels}
 
-        def resolve_location(tok: Token) -> LocationId:
-            if tok.text not in location_map:
-                self.fail(tok, f"undeclared location {tok.text!r}")
-            return location_map[tok.text]
-
-        def resolve_label(tok: Token) -> LabelId:
-            if tok.text not in label_map:
-                self.fail(tok, f"undeclared label {tok.text!r}")
-            return label_map[tok.text]
+        resolve_location = partial(self.lookup, table=location_map,
+                                   message="undeclared location {!r}")
+        resolve_label = partial(self.lookup, table=label_map, message="undeclared label {!r}")
 
         self.expect_keyword("Automata")
         automata = []
@@ -293,7 +295,10 @@ class _Parser:
             while not self.at_nil():
                 loc_tok = self.expect_word("a location or 'nil'")
                 self.expect_punct(":")
-                invariants[resolve_location(loc_tok)] = self.constraint(clock_map)
+                loc = resolve_location(loc_tok)
+                if loc in invariants:
+                    self.fail(loc_tok, f"duplicate invariant for location {loc.name!r}")
+                invariants[loc] = self.constraint(clock_map)
             self.expect_keyword("Transitions")
             transitions = []
             while not self.at_nil():
@@ -336,15 +341,14 @@ class _Parser:
                 f"expected {len(net.automata)} locations in the vector, "
                 f"found {len(vector_tokens)}",
             )
-        vector = []
-        for i, tok in enumerate(vector_tokens):
-            candidates = {l.name: l for l in net.automata[i].locations}
-            if tok.text not in candidates:
-                self.fail(tok, f"{tok.text!r} is not a location of automaton {i}")
-            vector.append(candidates[tok.text])
+        vector = tuple(
+            self.lookup(tok, {l.name: l for l in aut.locations},
+                        f"{{!r}} is not a location of automaton {i}")
+            for i, (aut, tok) in enumerate(zip(net.automata, vector_tokens))
+        )
         self.expect_punct("/")
         constraint = self.constraint({c.name: c for c in net.clocks}, net.scale)
-        return StatePattern(tuple(vector), constraint)
+        return StatePattern(vector, constraint)
 
 
 def parse_spec(text: str) -> Network:

@@ -8,8 +8,8 @@ import sys
 
 import pytest
 
-from conftest import QUERIES_PATH, REPO, TRAIN_PATH
-from zonereach import cli
+from conftest import DIVERGING_PATH, QUERIES_PATH, REPO, TRAIN_PATH
+from zonereach import cli, explorer
 from zonereach.formula import Formula
 
 INSIDE = "go(Far.Up.u0.nil/true, In.Down.u0.nil/true)"
@@ -159,6 +159,16 @@ def test_limits_give_up_with_status_3(run):
     assert out == ""  # both queries need search, so neither gets a verdict
     code, _, err = run(TRAIN_PATH, "--timeout", 0, "--query", UNSAFE)
     assert code == cli.GAVE_UP and "time limit exceeded" in err
+
+
+def test_a_witness_that_does_not_replay_exactly_gives_up_with_status_3(run, monkeypatch):
+    query = "go(s0.nil/x=0 ^ y=0 ^ true, s0.nil/x-y<0 ^ true)"  # diagonal: Extra_M
+    code, out, _ = run(DIVERGING_PATH, "--query", query)
+    assert code == cli.OK and out == f"{query}\tTrue\n"
+    monkeypatch.setattr(explorer, "replay_witness", lambda *args: False)
+    code, out, err = run(DIVERGING_PATH, "--query", query)
+    assert code == cli.GAVE_UP and out == ""
+    assert err == f"zonereach: {query}: witness does not replay exactly\n"
 
 
 def test_negative_limits_are_rejected(run):

@@ -15,7 +15,7 @@ import pytest
 import gen
 from conftest import DIVERGING_PATH, TRAIN_PATH
 from test_parser import random_network
-from zonereach import model, parse_query, parse_spec
+from zonereach import explorer, model, parse_query, parse_spec
 from zonereach.bounds import INF
 from zonereach.dbm import Dbm
 from zonereach.explorer import (
@@ -364,14 +364,15 @@ end
 
 
 def test_target_constants_refine_the_subsumption_test():
-    # No guard reads x at s1 or later, so only the target's x<=1 keeps
-    # the zone x>=1 (label b) apart from Extra+_LU of the zone x>=3
-    # (label a, stored first); with L = U = 0 it would be pruned, and
-    # s2 reached only with x>=3.
+    # No guard reads x at s1 or later, so only the target's x<=1, an
+    # upper bound (U = 1), keeps the zone x>=1 (label b) apart from
+    # Extra+_LU of the zone x>=3 (label a, stored first); with L = U = 0
+    # it would be pruned, and s2 reached only with x>=3.
     net = parse_spec(TARGET_BOUNDS_SPEC)
     q = parse_query("go(s0.nil/x=0 ^ true, s2.nil/x<=1 ^ true)", net)
     entry = net.entry(q.target.locations, q.target.constraint)
-    assert Search(net, q).lu and (entry.lower, entry.upper) == ({net.clocks[0]: 1},) * 2
+    x = net.clocks[0]
+    assert Search(net, q).lu and (entry.lower, entry.upper) == ({x: 0}, {x: 1})
     for options in ALL_CONFIGS + [FAITHFUL]:
         result = explore(net, q, options)
         assert result.verdict is Verdict.REACHABLE
@@ -451,6 +452,26 @@ def test_each_stored_zone_is_abstracted_at_most_once(monkeypatch, diverging_net)
     diagonal = parse_query("go(s0.nil/x=0 ^ y=0 ^ true, s0.nil/x-y>0 ^ true)", diverging_net)
     explore(diverging_net, diagonal)
     assert calls == []
+
+
+def test_an_extra_m_true_stands_only_once_its_witness_replays_exactly(
+    monkeypatch, diverging_net, train_net
+):
+    query = parse_query("go(s0.nil/x=0 ^ y=0 ^ true, s0.nil/x-y<0 ^ true)", diverging_net)
+    assert Search(diverging_net, query).k is not None  # a diagonal target: Extra_M
+    result = explore(diverging_net, query)
+    assert result.verdict is Verdict.REACHABLE and names(result.witness) == ["tick"]
+    monkeypatch.setattr(explorer, "replay_witness", lambda *args: False)
+    result = explore(diverging_net, query)
+    assert result.verdict is Verdict.INCONCLUSIVE
+    assert result.reason == "witness does not replay exactly"
+
+    def refuse(*args):
+        raise AssertionError("a diagonal-free search replays no witness")
+
+    monkeypatch.setattr(explorer, "replay_witness", refuse)
+    inside = parse_query("go(Far.Up.u0.nil/true, In.Down.u0.nil/true)", train_net)
+    assert explore(train_net, inside).verdict is Verdict.REACHABLE
 
 
 def test_default_search_agrees_with_the_exact_mode():

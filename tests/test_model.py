@@ -22,7 +22,7 @@ from zonereach.model import (
     max_constants,
     network_diagnostics,
     normalize_constants,
-    scale_constraint,
+    scale_constant,
     validate,
 )
 
@@ -108,6 +108,12 @@ def test_location_claimed_twice_across_automata():
     assert any("also belongs to automaton 0" in d for d in diags)
 
 
+def test_location_listed_twice_in_one_automaton():
+    aut = Automaton((S0, S0, S1), (A,), {S0: TRUE, S1: TRUE}, ())
+    diags = network_diagnostics(small_net(automata=(aut,)))
+    assert diags == ["automaton 0: location 's0' is listed twice"]
+
+
 def test_atom_holds_every_operator():
     v = {X: Fraction(3), Y: Fraction(1)}
     assert Atom(X, None, "<", 4).holds(v)
@@ -152,13 +158,10 @@ def test_normalize_composes_scales():
     assert once.automata[0].transitions[0].guard.atoms[0].const == 1
 
 
-def test_scale_constraint_for_queries():
-    net = small_net()
-    c = ClockConstraint((Atom(X, None, "<", Fraction(3, 2)),))
+def test_scale_constant_for_queries():
     with pytest.raises(ValueError):
-        scale_constraint(c, net)  # scale 1 cannot carry 1.5
-    scaled_net = Network(**{**net.__dict__, "scale": 2})
-    assert scale_constraint(c, scaled_net).atoms[0].const == 3
+        scale_constant(Fraction(3, 2), 1)  # scale 1 cannot carry 1.5
+    assert scale_constant(Fraction(3, 2), 2) == 3
 
 
 def test_max_constants_uses_magnitudes():
@@ -236,17 +239,32 @@ def test_an_entry_is_kept_per_vector_and_goal_constraint(train_net):
     entry = net.entry(vector, low.constraint)
     assert entry is net.entry(vector, low.constraint)
     assert entry is net.entry(vector, ClockConstraint(low.constraint.atoms))  # equal, not same
-    # one vector, two goal constants: X's L and U follow the goal, and U
+    # one vector, two goal constants: X's U follows the goal's X<=c, and
     # never drops below the invariant's X<=5 at In
     by_name = {c.name: c for c in net.clocks}
     x = by_name["X"]
-    assert (entry.lower[x], entry.upper[x]) == (1, 5)
+    assert (entry.lower[x], entry.upper[x]) == (0, 5)
     wide = net.entry(vector, high.constraint)
-    assert (wide.lower[x], wide.upper[x]) == (7, 7)
+    assert (wide.lower[x], wide.upper[x]) == (0, 7)
     # one vector, goals reading different clocks: each keeps its own
     assert names(entry.freed) == ["Y", "Z"]
     assert names(net.entry(vector, reads_z.constraint).freed) == ["Y"]
     assert entry.invariant == train_net.automata[0].invariants[vector[0]]
+
+
+def test_goal_atoms_bound_l_and_u_like_guards():
+    # no guard or invariant reads a clock: L and U come from the goal alone
+    aut = Automaton((S0,), (A,), {S0: TRUE}, (Transition(S0, A, TRUE, (), S0),))
+    net = small_net(locations=(S0,), automata=(aut,))
+    for op, lu in ((">=", (2, 0)), (">", (2, 0)), ("<=", (0, 2)), ("<", (0, 2)), ("=", (2, 2))):
+        entry = net.entry((S0,), ClockConstraint((Atom(X, None, op, 2),)))
+        assert (entry.lower[X], entry.upper[X]) == lu, op
+        assert entry.freed == (Y,)
+    # a difference atom bounds both of its clocks both ways and frees neither
+    diagonal = net.entry((S0,), ClockConstraint((Atom(X, Y, "<", 1),)))
+    assert diagonal.freed == ()
+    assert diagonal.lower == diagonal.upper == {X: 1, Y: 1}
+    assert net.entry((S0,), TRUE).freed == (X, Y)
 
 
 def test_automaton_of_label(train_net):

@@ -194,6 +194,8 @@ def test_comments_and_whitespace_are_invisible():
         (lambda t: t + "\nextra", "unexpected trailing input"),
         (lambda t: t.replace("go :", "gone :"), "undeclared label 'gone'"),
         (lambda t: t.replace("X<=1", "X?1"), "unexpected character '?'"),
+        (lambda t: t.replace("b : true", "b : true a : true"),
+         "duplicate invariant for location 'a'"),
     ],
 )
 def test_positioned_diagnostics(mangle, fragment):
