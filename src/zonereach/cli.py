@@ -7,7 +7,7 @@ it, and prints one tab-separated verdict line per query.  Exit status:
     1  the specification or a query did not parse / validate
     2  the specification or the ``--queries`` file could not be read
        (argparse errors too)
-    3  a search hit a zone or time limit and gave up
+    3  a search gave up: a zone or time limit, or an inexact witness
     4  self-test found configurations disagreeing on a verdict
 """
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .bounds import INF, ZERO_LE, bound, is_strict, value
 from .model import Atom, ClockConstraint, ClockId
@@ -98,24 +98,6 @@ class Dbm:
         return cls(clocks, tuple(grid))
 
     @classmethod
-    def from_bounds(cls, clocks: Sequence[ClockId], grid: Iterable[int]) -> "Dbm":
-        """Close an explicit bound grid with a full O(n³) closure; the
-        empty marker on inconsistency.  Every zone keeps its clocks
-        non-negative, so the diagonal and row 0 are first tightened to
-        at most (0, <=)."""
-        clocks = tuple(clocks)
-        size = len(clocks) + 1
-        work = list(grid)
-        if len(work) != size * size:
-            raise ValueError("grid size does not match the clock list")
-        for i in range(size):
-            work[i] = min(work[i], ZERO_LE)
-            work[i * size + i] = min(work[i * size + i], ZERO_LE)
-        if not _close(work, size):
-            return cls(clocks, None)
-        return cls(clocks, tuple(work))
-
-    @classmethod
     def from_constraint(cls, c: ClockConstraint, clocks: Sequence[ClockId]) -> "Dbm":
         return cls.universe(clocks).constrain(c)
 
@@ -134,11 +116,6 @@ class Dbm:
             return self.clocks.index(clock) + 1
         except ValueError:
             raise ValueError(f"unknown clock {clock.name!r}") from None
-
-    def cell(self, i: int, j: int) -> int:
-        if self.cells is None:
-            raise ValueError("the empty zone has no cells")
-        return self.cells[i * (len(self.clocks) + 1) + j]
 
     def _closed(self, grid: list[int]) -> "Dbm":
         """The zone an edited copy of this zone's cells describes: this
@@ -212,6 +189,11 @@ class Dbm:
                 if not _tighten(grid, size, a, b, raw):
                     return Dbm(self.clocks, None)
         return self if grid is self.cells else Dbm(self.clocks, tuple(grid))
+
+    def permute(self, index: Sequence[int]) -> "Dbm":
+        """Cell k from cell ``index[k]``: closed when the index list renames
+        clocks, (i, j) from (p(i), p(j)) for a permutation p fixing 0."""
+        return Dbm(self.clocks, tuple([self.cells[k] for k in index]))
 
     def reset(self, resets: Sequence[ClockId]) -> "Dbm":
         """Set the given clocks to zero (the other dimensions keep their

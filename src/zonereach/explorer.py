@@ -50,6 +50,11 @@ abstraction (``k`` or LU).  ``root_state`` and ``successors`` take
 it, so ``explore`` and ``replay_witness`` walk the same successor
 relation.
 
+Symmetry (Ip & Dill, FMSD 1996): ``_Visited.insert`` stores a state with
+the twins the target treats alike (``_stabilizer``) in a canonical order;
+the worklist keeps the actual state, so goal tests and witnesses stay
+exact.  The formula backend, an independent oracle, is not reduced.
+
 The search is a plain worklist (LIFO or FIFO).  Every new state, the
 source state included, is goal-tested before the visited check, so a
 goal is reported even when the state would have been pruned; then it
@@ -132,12 +137,13 @@ class SearchStats:
     stored: int = 0
     popped: int = 0
     subsumed: int = 0  # successors the visited set pruned
+    permuted: int = 0  # stored states whose canonical form differs from the state
     seconds: float = 0.0
 
     def __str__(self) -> str:
         return (
             f"stored={self.stored} popped={self.popped} subsumed={self.subsumed} "
-            f"time={self.seconds:.2f}s"
+            f"permuted={self.permuted} time={self.seconds:.2f}s"
         )
 
 
@@ -217,6 +223,81 @@ def is_goal(state: StateZone, target: StatePattern) -> bool:
     return not state.zone.constrain(target.constraint).is_empty()
 
 
+def _fixes(net: Network, twins: dict, perm: dict[int, int], target: StatePattern) -> bool:
+    """Does permuting twins (``Network.permutation``) map the target onto itself?"""
+    moved = net.permutation(perm)
+    vector = list(target.locations)
+    for a, b in perm.items():
+        vector[b] = target.locations[a]
+    rename = {c: d for a, b in perm.items() for c, d in zip(twins[a], twins[b])}
+    atoms = {atom._replace(lhs=rename.get(atom.lhs, atom.lhs), rhs=rename.get(atom.rhs, atom.rhs))
+             for atom in target.constraint.atoms}
+    if moved is None or atoms != set(target.constraint.atoms):
+        return False
+    return tuple(moved.get(loc, loc) for loc in vector) == target.locations
+
+
+def _stabilizer(net: Network, target: StatePattern) -> tuple[_Orbit, ...]:
+    """Per class of ``Network.symmetry``, the runs of twins that the target
+    treats alike: a twin joins the first run whose last twin it swaps
+    with (``_fixes``).  Every permutation of a run fixes the target."""
+    orbits = []
+    for twins in net.symmetry:
+        runs: list[list[int]] = []
+        for b in twins:
+            run = next((run for run in runs if _fixes(net, twins, {run[-1]: b, b: run[-1]}, target)), None)
+            runs.append([b]) if run is None else run.append(b)
+        orbits += [_Orbit(net, twins, run, target) for run in runs if len(run) > 1]
+    return tuple(orbits)
+
+
+class _Orbit:
+    """A run of twins that the target treats alike.  The canonical form
+    of a state sorts them by a key that permuting them carries along: the
+    position of the twin's location in its automaton, and per clock its
+    bounds against 0 and its sorted row and column.  Ties only leave states
+    apart."""
+
+    def __init__(self, net: Network, twins: dict, members: list[int], target: StatePattern):
+        self.net, self.twins, self.target = net, twins, target
+        self.members, self.identity = members, tuple(range(len(members)))
+        self.position = {loc: r for a in members for r, loc in enumerate(net.automata[a].locations)}
+        self.cells = [[net.clocks.index(c) + 1 for c in twins[a]] for a in members]
+        self.orders: dict[tuple[int, ...], Optional[tuple]] = {}
+
+    def _key(self, k: int, vector: LocationVector, cells: tuple[int, ...], size: int) -> list:
+        key = [self.position[vector[self.members[k]]]]
+        for x in self.cells[k]:
+            row = cells[x * size:(x + 1) * size]
+            key += [cells[x], row[0], sorted(row), sorted(cells[x::size])]
+        return key
+
+    def canonical(self, vector: LocationVector, zone: Dbm) -> tuple[LocationVector, Dbm]:
+        size = len(zone.clocks) + 1
+        keys = [self._key(k, vector, zone.cells, size) for k in self.identity]
+        order = tuple(sorted(self.identity, key=keys.__getitem__))
+        if order != self.identity and order not in self.orders:
+            self.orders[order] = self._permutation(order, size)
+        if self.orders.get(order) is None:
+            return vector, zone
+        moved, slots, index = self.orders[order]
+        return tuple([moved.get(vector[i], vector[i]) for i in slots]), zone.permute(index)
+
+    def _permutation(self, order: tuple[int, ...], size: int) -> Optional[tuple]:
+        """Twin q taking twin ``order[q]``'s state: the locations moved, the
+        slot each vector slot reads, and ``Dbm.permute``'s index list."""
+        perm = {self.members[p]: self.members[q] for q, p in enumerate(order)}
+        if not _fixes(self.net, self.twins, perm, self.target):
+            return None
+        slots, source = list(range(len(self.net.automata))), list(range(size))
+        for q, p in enumerate(order):
+            slots[self.members[q]] = self.members[p]
+            for new, old in zip(self.cells[q], self.cells[p]):
+                source[new] = old
+        index = [source[i] * size + source[j] for i in range(size) for j in range(size)]
+        return self.net.permutation(perm), slots, index
+
+
 class _Visited:
     """The search's stored states, one bucket per location vector.  A
     new zone is pruned when it lies inside the abstraction of a zone
@@ -233,6 +314,8 @@ class _Visited:
         self.equal = mode == "equal"
         self.net = search.net
         self.reads = search.query.target.constraint if search.lu else None
+        self.orbits = _stabilizer(self.net, search.query.target) if search.zone_type is Dbm else ()
+        self.permuted = 0
         self.buckets: dict[LocationVector, Union[set, list[list]]] = {}
 
     def _abstract(self, vector: LocationVector, zone: Zone) -> Zone:
@@ -242,28 +325,30 @@ class _Visited:
         return zone.extrapolate_lu(entry.lower, entry.upper)
 
     def insert(self, state: StateZone) -> bool:
-        """Store the state unless it is pruned; False when it is pruned."""
+        """Store the state, in canonical form under the target's stabilizer
+        (``_stabilizer``), unless it is pruned; False when it is pruned."""
         vector, zone = state.locations, state.zone
+        for orbit in self.orbits:
+            vector, zone = orbit.canonical(vector, zone)
         bucket = self.buckets.get(vector)
         if self.equal:
             key = self._abstract(vector, zone).key
             if bucket is None:
-                self.buckets[vector] = {key}
-            elif key in bucket:
+                bucket = self.buckets[vector] = set()
+            if key in bucket:
                 return False
-            else:
-                bucket.add(key)
-            return True
-        if bucket is None:
-            self.buckets[vector] = [[zone, None]]
-            return True
-        for stored in bucket:
-            wide = stored[1]
-            if wide is None:
-                wide = stored[1] = self._abstract(vector, stored[0])
-            if wide.includes(zone):
-                return False
-        bucket.append([zone, None])
+            bucket.add(key)
+        else:
+            if bucket is None:
+                bucket = self.buckets[vector] = []
+            for stored in bucket:
+                wide = stored[1]
+                if wide is None:
+                    wide = stored[1] = self._abstract(vector, stored[0])
+                if wide.includes(zone):
+                    return False
+            bucket.append([zone, None])
+        self.permuted += zone is not state.zone
         return True
 
 
@@ -297,15 +382,16 @@ def explore(net: Network, query: Query, options: Optional[SearchOptions] = None)
     deadline = None if options.max_seconds is None else started + options.max_seconds
     search = Search(net, query, options)
     stats = SearchStats()
+    visited = _Visited(search, options.subsumption)
 
     def result(verdict, witness=None, reason=None):
         stats.seconds = time.monotonic() - started
+        stats.permuted = visited.permuted
         return ExploreResult(verdict, witness, stats, reason)
 
     root = root_state(search)
     if root is None:
         return result(Verdict.UNREACHABLE)
-    visited = _Visited(search, options.subsumption)
     worklist: deque[_Node] = deque()
     node, batch = None, [(None, root)]  # the root is offered like any successor
     while True:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .bounds import INF, ZERO_LE, add, bound, negated, value
+from .bounds import INF, ZERO_LE, add, bound, value
 from .model import ClockConstraint, ClockId
 
 # Fresh variable standing for the elapsed delay while computing the
@@ -227,35 +227,6 @@ def fm_is_empty(f: Formula) -> bool:
     return fm_exists(f, f.clocks).is_false
 
 
-def fm_entails(f: Formula, atom: LinearAtom) -> bool:
-    """Does every solution of ``f`` satisfy the atom?
-
-    Checked by conjoining the complement of the atom (still a single
-    difference inequality) and testing emptiness, which is complete;
-    scanning projected bounds would miss combinations of one-sided
-    bounds that only together imply a difference.
-    """
-    for side in (atom.pos, atom.neg):
-        if side is not None and side not in f.clocks:
-            raise ValueError(f"clock {side.name!r} is not in scope")
-    if atom.bnd == INF or f.is_false:
-        return True
-    flipped = LinearAtom(atom.neg, atom.pos, negated(atom.bnd))
-    return fm_is_empty(make_formula(f.clocks, f.atoms + (flipped,), f.is_false))
-
-
-def fm_equiv(f1: Formula, f2: Formula) -> bool:
-    """Set equality via mutual entailment of each other's atoms."""
-    if f1.clocks != f2.clocks:
-        raise ValueError("formulas over different scopes")
-    e1, e2 = fm_is_empty(f1), fm_is_empty(f2)
-    if e1 or e2:
-        return e1 == e2
-    return all(fm_entails(f1, a) for a in f2.atoms) and all(
-        fm_entails(f2, a) for a in f1.atoms
-    )
-
-
 def _closed_cells(f: Formula) -> Optional[tuple[int, ...]]:
     """The tightest derivable bound for every clock pair, arranged like
     a closed difference-bound matrix; None when the formula is empty.
@@ -361,13 +332,3 @@ def fm_extrapolate_lu(
                 raw = bound(-upper[sides[j]], strict=True)
             items.append(LinearAtom(sides[i], sides[j], raw))
     return make_formula(f.clocks, items)
-
-
-def fm_includes(f1: Formula, f2: Formula) -> bool:
-    """Does ``f1`` contain ``f2``?  Every atom of the container must be
-    entailed by the contained formula."""
-    if f1.clocks != f2.clocks:
-        raise ValueError("formulas over different scopes")
-    if fm_is_empty(f2):
-        return True
-    return all(fm_entails(f2, a) for a in f1.atoms)

@@ -11,20 +11,23 @@ strictness adjustment decides feasibility exactly, no sampling of the
 eliminated axis involved.
 
 Everything here works on ``model.Atom`` lists and plain integer
-arrays; nothing is shared with the zone code under test.
+arrays; nothing is shared with the zone code under test, except that
+``fm_entails``, ``fm_includes`` and ``fm_equiv`` compare formulas with
+the formula backend's own emptiness test.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from zonereach.bounds import INF, is_strict, value
+from zonereach.bounds import INF, ZERO_LE, add, is_strict, negated, value
 from zonereach.dbm import Dbm
-from zonereach.formula import Formula
+from zonereach.formula import Formula, LinearAtom, fm_is_empty, make_formula
 from zonereach.model import Atom, ClockConstraint, ClockId
 
 GRID_HI = 11  # real units; constants stay <= 10, so one unit of slack
@@ -164,6 +167,72 @@ def elapse_mask(c: ClockConstraint, clocks: Sequence[ClockId], pts: np.ndarray) 
             endpoint = 2 * _col(n, index, pts) + 4 * const
             np.minimum(upper, endpoint - int(strict), out=upper)
     return static & (lower <= upper)
+
+
+# -- zones from explicit data ------------------------------------------------
+
+
+def from_bounds(clocks: Sequence[ClockId], cells: Sequence[int]) -> Dbm:
+    """The ``Dbm`` of an explicit bound grid, closed here by a plain
+    Floyd-Warshall over ``bounds.add``; the empty marker when a diagonal
+    cell ends below (0, <=).  Every zone keeps its clocks non-negative,
+    so the diagonal and row 0 are first tightened to at most (0, <=).
+    A canonical zone comes back with the same cells."""
+    clocks = tuple(clocks)
+    size = len(clocks) + 1
+    work = list(cells)
+    if len(work) != size * size:
+        raise ValueError("grid size does not match the clock list")
+    for i in range(size):
+        work[i] = min(work[i], ZERO_LE)
+        work[i * size + i] = min(work[i * size + i], ZERO_LE)
+    for k, i, j in itertools.product(range(size), repeat=3):
+        work[i * size + j] = min(work[i * size + j], add(work[i * size + k], work[k * size + j]))
+    if any(work[i * size + i] < ZERO_LE for i in range(size)):
+        return Dbm(clocks, None)
+    return Dbm(clocks, tuple(work))
+
+
+def cell(z: Dbm, i: int, j: int) -> int:
+    """The bound on xi - xj (index 0 is the zero clock)."""
+    return z.cells[i * (len(z.clocks) + 1) + j]
+
+
+def fm_entails(f: Formula, atom: LinearAtom) -> bool:
+    """Does every solution of ``f`` satisfy the atom?
+
+    Checked by conjoining the complement of the atom (still a single
+    difference inequality) and testing emptiness, which is complete;
+    scanning projected bounds would miss combinations of one-sided
+    bounds that only together imply a difference.
+    """
+    for side in (atom.pos, atom.neg):
+        if side is not None and side not in f.clocks:
+            raise ValueError(f"clock {side.name!r} is not in scope")
+    if atom.bnd == INF or f.is_false:
+        return True
+    flipped = LinearAtom(atom.neg, atom.pos, negated(atom.bnd))
+    return fm_is_empty(make_formula(f.clocks, f.atoms + (flipped,), f.is_false))
+
+
+def fm_includes(f1: Formula, f2: Formula) -> bool:
+    """Does ``f1`` contain ``f2``?  Every atom of the container must be
+    entailed by the contained formula."""
+    if f1.clocks != f2.clocks:
+        raise ValueError("formulas over different scopes")
+    if fm_is_empty(f2):
+        return True
+    return all(fm_entails(f2, a) for a in f1.atoms)
+
+
+def fm_equiv(f1: Formula, f2: Formula) -> bool:
+    """Set equality via mutual entailment of each other's atoms."""
+    if f1.clocks != f2.clocks:
+        raise ValueError("formulas over different scopes")
+    e1, e2 = fm_is_empty(f1), fm_is_empty(f2)
+    if e1 or e2:
+        return e1 == e2
+    return all(fm_entails(f1, a) for a in f2.atoms) and all(fm_entails(f2, a) for a in f1.atoms)
 
 
 # -- random inputs -----------------------------------------------------------

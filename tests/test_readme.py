@@ -44,3 +44,13 @@ def test_library_snippet_runs():
     done = run_python("-c", snippet)
     assert done.returncode == 0, done.stderr
     assert re.fullmatch(r"False \d+\n", done.stdout)
+
+
+def test_stats_row_names_every_counter():
+    row = next(line for line in README.splitlines() if line.startswith("| `--stats` |"))
+    done = run_python("-m", "zonereach.cli", "specs/train_gate_controller.ta", "--stats",
+                      "--query", "go(Far.Up.u0.nil/true, In.Up.u0.nil/true)")
+    assert done.returncode == 0, done.stderr
+    fields = re.findall(r"(\w+)=", done.stdout.splitlines()[-1])
+    assert fields == ["stored", "popped", "subsumed", "permuted", "time"]
+    assert all(field in row for field in fields)

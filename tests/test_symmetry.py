@@ -1,0 +1,298 @@
+"""Process symmetry: which automata ``Network.symmetry`` finds
+interchangeable, and that storing one canonical state per orbit of the
+target's stabilizer changes no verdict.
+
+The unreduced search comes from patching ``Network.symmetry`` to the
+trivial group; the formula backend is never reduced.
+"""
+
+import dataclasses
+import random
+import re
+
+import pytest
+
+import gen
+from test_explorer import ALL_CONFIGS, FAITHFUL
+from zonereach import parse_query, parse_spec
+from zonereach.dbm import Dbm
+from oracles import from_bounds
+from zonereach.explorer import (
+    Search,
+    SearchOptions,
+    StateZone,
+    Verdict,
+    _stabilizer,
+    _Visited,
+    explore,
+    is_goal,
+    replay_witness,
+    root_state,
+    successors,
+)
+from zonereach.model import (
+    TRUE,
+    Atom,
+    Automaton,
+    ClockConstraint,
+    ClockId,
+    LabelId,
+    LocationId,
+    Network,
+    Query,
+    StatePattern,
+    Transition,
+    normalize_constants,
+    validate,
+)
+
+EXACT = SearchOptions(extrapolate=False)
+CAPPED = [dataclasses.replace(o, max_zones=2000) for o in ALL_CONFIGS + [FAITHFUL] if o.backend == "dbm"]
+
+
+@pytest.fixture
+def unsymmetric(monkeypatch):
+    """Run a search with ``Network.symmetry`` patched to the trivial
+    group, on a fresh copy of the network."""
+
+    def run(search, net, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(Network, "symmetry", property(lambda self: ()))
+            return search(dataclasses.replace(net), *args)
+
+    return run
+
+
+def fischer(n, wait=2):
+    net = parse_spec(gen.fischer_spec(n, 2, wait=wait))
+    return net, parse_query(gen.fischer_mutex_query(n), net)
+
+
+def staggered_fischer_spec(n):
+    """Fischer with ``wait_i = 1 + i``: every ``x<i>>2`` guard becomes
+    ``x<i>>1+i``, so no two processes are alike (mutex still holds)."""
+    text = gen.fischer_spec(n, 2)
+    for i in range(1, n + 1):
+        text, found = re.subn(rf"\bx{i}>2 ", f"x{i}>{1 + i} ", text)
+        assert found == 1
+    return text
+
+
+# -- detection ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_fischer_processes_form_one_class(n):
+    net, _ = fischer(n)
+    twins, = net.symmetry
+    # the lock is not a twin
+    clocks = {i: [c.name for c in own] for i, own in twins.items()}
+    assert clocks == {i: [f"x{i + 1}"] for i in range(n)}
+
+
+def test_a_lock_that_tells_the_processes_apart_breaks_the_class():
+    text = gen.fischer_spec(4, 2)
+    # the lock reads process 1's clock: process 1 is no twin
+    read = parse_spec(text.replace("id0 , try1 : true", "id0 , try1 : x1<=5 ^ true"))
+    assert [list(twins) for twins in read.symmetry] == [[1, 2, 3]]
+    # process 1 can no longer enter: no swap of 1 and 2 maps the lock onto itself
+    stuck = parse_spec(text.replace("      id1 , enter1 : true , nil , id1 .\n", ""))
+    assert stuck.symmetry == ()
+
+
+def test_the_crossing_system_has_no_symmetry(train_net):
+    assert train_net.symmetry == ()
+
+
+@pytest.mark.parametrize("n, stored", [(3, 103), (4, 567)])
+def test_fischer_with_staggered_waits_has_none_and_keeps_its_counts(n, stored):
+    net = parse_spec(staggered_fischer_spec(n))
+    assert net.symmetry == ()
+    query = parse_query(gen.fischer_mutex_query(n), net)
+    for order in ("bfs", "dfs"):
+        result = explore(net, query, SearchOptions(order=order))
+        assert result.verdict is Verdict.UNREACHABLE
+        assert result.stats.stored == stored and result.stats.permuted == 0
+
+
+def test_the_stabilizer_keeps_the_twins_the_target_treats_alike():
+    # processes 1 and 2 are in CS and the lock names process 2, so only
+    # processes 3..n may be permuted; the formula backend permutes none
+    net, query = fischer(5)
+    assert [orbit.members for orbit in _stabilizer(net, query.target)] == [[2, 3, 4]]
+    assert _Visited(Search(net, query, SearchOptions(backend="formula")), "include").orbits == ()
+    # a clock of process 4 in the target sets it apart
+    x4 = net.clocks[3]
+    bounded = dataclasses.replace(query.target, constraint=ClockConstraint((Atom(x4, None, "<", 1),)))
+    assert [o.members for o in _stabilizer(net, bounded)] == [[2, 4]]
+
+
+def test_permute_renames_clocks():
+    x, y, z = (ClockId(name, i) for i, name in enumerate("xyz"))
+    clocks = (x, y, z)
+    c = ClockConstraint((Atom(x, None, "<=", 3), Atom(y, x, ">", 1), Atom(z, None, ">=", 2)))
+    swapped = ClockConstraint((Atom(y, None, "<=", 3), Atom(x, y, ">", 1), Atom(z, None, ">=", 2)))
+    source = [0, 2, 1, 3]  # index 0 is the zero clock; x and y trade places
+    index = [source[i] * 4 + source[j] for i in range(4) for j in range(4)]
+    zone = Dbm.from_constraint(c, clocks).elapse()
+    assert zone.permute(index) == Dbm.from_constraint(swapped, clocks).elapse()
+
+
+# -- reduction ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, stored", [(4, 305), (5, 723)])
+def test_fischer_stores_one_zone_per_orbit(n, stored):
+    net, query = fischer(n)
+    for order in ("bfs", "dfs"):
+        result = explore(net, query, SearchOptions(order=order))
+        assert result.verdict is Verdict.UNREACHABLE
+        assert result.stats.stored == stored and result.stats.permuted > 0
+
+
+def test_a_canonical_state_behaves_like_the_state_it_stands_for():
+    """A canonical state is the image of the state under an automorphism
+    fixing the target: equally many successors, the same successor zones
+    up to renaming the clocks, the same goal test, and a closed matrix."""
+    for n, wait in ((4, 2), (5, 1)):
+        net, query = fischer(n, wait)
+        search, orbits = Search(net, query), _stabilizer(net, query.target)
+        frontier, permuted = [root_state(search)], 0
+        for _ in range(8):
+            reached = []
+            for state in frontier:
+                vector, zone = state.locations, state.zone
+                for orbit in orbits:
+                    vector, zone = orbit.canonical(vector, zone)
+                image = StateZone(vector, zone)
+                permuted += image != state
+                assert from_bounds(net.clocks, zone.cells).cells == zone.cells
+                assert is_goal(image, query.target) == is_goal(state, query.target)
+                moves = [succ for _, succ in successors(search, state)]
+                image_moves = [succ for _, succ in successors(search, image)]
+                shapes = [sorted(sorted(s.zone.cells) for s in ms) for ms in (moves, image_moves)]
+                assert shapes[0] == shapes[1]
+                reached += moves
+            frontier = reached[:150]
+        assert permuted > 100
+
+
+def one_in_cs_query(n, net):
+    """Process 1 in CS with the lock naming it: processes 2..n may permute."""
+    return parse_query(f"go({gen.fischer_initial(n)}, {gen.fischer_vector(n, {1: 'CS'}, 1)}/true)", net)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("wait", [2, 1])
+def test_fischer_verdicts_match_the_unreduced_search(n, wait, unsymmetric):
+    net = parse_spec(gen.fischer_spec(n, 2, wait=wait))
+    for query in (parse_query(gen.fischer_mutex_query(n), net), one_in_cs_query(n, net)):
+        for options in CAPPED:
+            reduced = explore(net, query, options)
+            plain = unsymmetric(explore, net, query, options)
+            if Verdict.INCONCLUSIVE not in (reduced.verdict, plain.verdict):
+                assert reduced.verdict is plain.verdict
+            if reduced.verdict is Verdict.REACHABLE:
+                assert replay_witness(net, query, reduced.witness, EXACT)
+    # mutex holds exactly when wait >= bound
+    verdict = explore(net, parse_query(gen.fischer_mutex_query(n), net)).verdict
+    assert verdict is (Verdict.UNREACHABLE if wait == 2 else Verdict.REACHABLE)
+
+
+def _atoms(rng, clocks, most=2):
+    atoms = []
+    for _ in range(rng.randint(0, most)):
+        lhs = rng.choice(clocks)
+        others = [c for c in clocks if c != lhs]
+        rhs = rng.choice(others) if others and rng.random() < 0.2 else None
+        atoms.append(Atom(lhs, rhs, rng.choice(("<", "<=", "=", ">=", ">")), rng.randint(0, 3)))
+    return ClockConstraint(tuple(atoms))
+
+
+def symmetric_network(rng, k):
+    """``k`` copies of a random process, plus a shared automaton with
+    common locations ``c<j>`` and one ``own<i>`` location per copy (like
+    Fischer's lock) that moves on some of every copy's labels alike,
+    reading a clock ``z`` of its own."""
+    nclocks, nlocs, nlabels, ncommon = (rng.randint(1, n) for n in (2, 3, 3, 2))
+    process = [(rng.randrange(nlocs), rng.randrange(nlabels), rng.random(), rng.randrange(nlocs),
+                rng.random() < 0.5) for _ in range(rng.randint(1, 5))]
+    invariants = [rng.random() for _ in range(nlocs)]
+    synced = sorted(rng.sample(range(nlabels), rng.randint(1, nlabels)))
+    kinds = [f"c{j}" for j in range(ncommon)] + ["own"]
+    shared = [(rng.choice(kinds), rng.choice(synced), rng.random(), rng.choice(kinds),
+               rng.random() < 0.3) for _ in range(rng.randint(1, 4))]
+    seed = rng.random()
+
+    clock_names = [f"x{i}_{c}" for i in range(k) for c in range(nclocks)] + ["z"]
+    clocks = tuple(ClockId(name, i) for i, name in enumerate(clock_names))
+    location_names = [f"p{i}_{l}" for i in range(k) for l in range(nlocs)]
+    location_names += [f"c{j}" for j in range(ncommon)] + [f"own{i}" for i in range(k)]
+    locations = {name: LocationId(name, i) for i, name in enumerate(location_names)}
+    label_names = [f"a{i}_{r}" for i in range(k) for r in range(nlabels)]
+    labels = {name: LabelId(name, i) for i, name in enumerate(label_names)}
+
+    def constraint(draw, mine):
+        return _atoms(random.Random(draw), mine) if draw < 0.6 else TRUE
+
+    automata = []
+    for i in range(k):
+        mine = clocks[i * nclocks:(i + 1) * nclocks]
+        loc = [locations[f"p{i}_{l}"] for l in range(nlocs)]
+        transitions = tuple(
+            Transition(loc[src], labels[f"a{i}_{r}"], constraint(draw, mine),
+                       mine[:1] if reset else (), loc[dst])
+            for src, r, draw, dst, reset in process
+        )
+        invariant = {l: constraint(draw, mine) for l, draw in zip(loc, invariants)}
+        alphabet = tuple(labels[f"a{i}_{r}"] for r in range(nlabels))
+        automata.append(Automaton(tuple(loc), alphabet, invariant, transitions))
+    z = clocks[-1:]
+
+    def place(kind, i):
+        return locations[f"own{i}" if kind == "own" else kind]
+
+    transitions = tuple(
+        Transition(place(src, i), labels[f"a{i}_{r}"], constraint(draw, z),
+                   z if reset else (), place(dst, i))
+        for i in range(k) for src, r, draw, dst, reset in shared
+    )
+    lock = tuple(locations[name] for name in location_names[k * nlocs:])
+    automata.append(Automaton(lock, tuple(labels[f"a{i}_{r}"] for i in range(k) for r in synced),
+                              {l: constraint(seed, z) for l in lock}, transitions))
+    net = Network("sym", clocks, tuple(locations.values()), tuple(labels.values()), tuple(automata))
+    return normalize_constants(validate(net))
+
+
+def symmetric_query(rng, net, k):
+    nlocs = len(net.automata[0].locations)
+    same = rng.randrange(nlocs)  # most copies end at one location
+    target = [aut.locations[same if rng.random() < 0.8 else rng.randrange(nlocs)]
+              for aut in net.automata[:k]]
+    target.append(rng.choice(net.automata[k].locations))
+    source = tuple(aut.locations[0] for aut in net.automata)
+    start = ClockConstraint(tuple(Atom(c, None, "=", 0) for c in net.clocks if rng.random() < 0.7))
+    goal = _atoms(rng, net.clocks, most=1)
+    return Query(StatePattern(source, start), StatePattern(tuple(target), goal))
+
+
+def test_random_symmetric_networks_keep_their_verdicts(unsymmetric):
+    rng = random.Random(16)
+    found = reduced_searches = fewer = reachable = 0
+    for _ in range(150):
+        k = rng.randint(2, 3)
+        net = symmetric_network(rng, k)
+        found += any(list(twins) == list(range(k)) for twins in net.symmetry)
+        q = symmetric_query(rng, net, k)
+        reduced_searches += bool(_stabilizer(net, q.target))
+        for options in CAPPED:
+            reduced = explore(net, q, options)
+            plain = unsymmetric(explore, net, q, options)
+            if Verdict.INCONCLUSIVE not in (reduced.verdict, plain.verdict):
+                assert reduced.verdict is plain.verdict
+                fewer += reduced.stats.stored < plain.stats.stored
+            if reduced.verdict is Verdict.REACHABLE:
+                assert replay_witness(net, q, reduced.witness, EXACT)
+                reachable += 1
+    assert found > 140 and reduced_searches > 50
+    assert fewer > 30 and reachable > 100
