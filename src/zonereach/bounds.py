@@ -47,15 +47,3 @@ def value(raw: int) -> int:
 
 def is_strict(raw: int) -> bool:
     return not raw & 1
-
-
-def negated(raw: int) -> int:
-    """Raw encoding of the complement of a bound.
-
-    not(e <= v) is -e < -v and not(e < v) is -e <= -v, so the complement
-    flips both the sign of the value and the strictness.  Undefined for
-    INF, whose complement would be the empty constraint.
-    """
-    if raw == INF:
-        raise ValueError("the unbounded bound has no complement")
-    return bound(-(raw >> 1), strict=bool(raw & 1))

@@ -5,8 +5,8 @@ it, and prints one tab-separated verdict line per query.  Exit status:
 
     0  every query evaluated
     1  the specification or a query did not parse / validate
-    2  the specification or the ``--queries`` file could not be read
-       (argparse errors too)
+    2  the specification, the ``--queries`` file or standard input could
+       not be read (argparse errors too)
     3  a search gave up: a zone or time limit, or an inexact witness
     4  self-test found configurations disagreeing on a verdict
 """
@@ -69,16 +69,19 @@ def _search_options(args) -> SearchOptions:
     )
 
 
-def _read(path: str) -> Optional[str]:
-    """The text of a UTF-8 file, or None once the reason it cannot be
-    read is printed."""
+def _read(path: Optional[str]) -> Optional[str]:
+    """The text of a UTF-8 file, or of standard input when ``path`` is
+    None; None once the reason it cannot be read is printed."""
     try:
+        if path is None:
+            return sys.stdin.buffer.read().decode("utf-8")
         return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         reason = err.strerror
     except UnicodeDecodeError:
         reason = "not UTF-8 text"
-    print(f"zonereach: cannot read {path}: {reason}", file=sys.stderr)
+    name = "<stdin>" if path is None else path
+    print(f"zonereach: cannot read {name}: {reason}", file=sys.stderr)
     return None
 
 
@@ -134,13 +137,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return BAD_INPUT
 
     lines: list[str] = list(args.query)
-    if args.queries is not None:
+    if args.queries is not None or not args.query:
         listed = _read(args.queries)
         if listed is None:
             return NO_FILE
         lines.extend(listed.splitlines())
-    elif not args.query:
-        lines.extend(sys.stdin.read().splitlines())
     queries: list[tuple[str, Query]] = []
     failed = False
     for line in lines:

@@ -83,13 +83,6 @@ class ClockConstraint:
     def holds(self, valuation: Mapping[ClockId, Number]) -> bool:
         return all(atom.holds(valuation) for atom in self.atoms)
 
-    @property
-    def clocks(self) -> frozenset[ClockId]:
-        """The clocks the constraint reads; a difference atom reads both."""
-        return frozenset(
-            clock for atom in self.atoms for clock in (atom.lhs, atom.rhs) if clock is not None
-        )
-
     @cached_property
     def _dbm_edges(self) -> dict[tuple[ClockId, ...], tuple[tuple[int, int, int], ...]]:
         """Clock tuple -> this constraint's matrix edges, filled in by

@@ -59,45 +59,44 @@ class ParseError(Exception):
 class Token(NamedTuple):
     kind: str  # "word" | "op" | "punct" | "eof"
     text: str
-    line: int
-    col: int
+    offset: int  # into the text it was read from
 
 
+# Whitespace and comments in front of each token are skipped; the scan
+# ends in one ``eof`` token, or at the first ``bad`` character.
 _TOKEN = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
-  | (?P<word>[A-Za-z0-9_\-]+)
-  | (?P<op><=|>=|<|>|=)
-  | (?P<punct>[().,:/^])
+    (?:\s+|//[^\n]*)*
+    (?:
+        (?P<word>[A-Za-z0-9_\-]+)
+      | (?P<op><=|>=|<|>|=)
+      | (?P<punct>[().,:/^])
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 RESERVED = frozenset({"nil", "true"})
 
 
+def _diagnostic(text: str, offset: int, message: str) -> Diagnostic:
+    """``message`` at the line and column of ``offset`` into ``text``."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return Diagnostic(text.count("\n", 0, offset) + 1, offset - line_start + 1, message)
+
+
 def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(
-                [Diagnostic(line, pos - line_start + 1, f"unexpected character {text[pos]!r}")]
-            )
+    tokens = []
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        piece = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, piece, line, pos - line_start + 1))
-        newlines = piece.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + piece.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
-    return tokens
+        tok = Token(kind, m.group(kind), m.start(kind))
+        if kind == "bad":
+            raise ParseError([_diagnostic(text, tok.offset, f"unexpected character {tok.text!r}")])
+        tokens.append(tok)
+        if kind == "eof":
+            return tokens
 
 
 T = TypeVar("T")
@@ -107,8 +106,9 @@ _DIGITS = re.compile(r"\d+$")
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
 
     def peek(self) -> Token:
@@ -121,7 +121,7 @@ class _Parser:
         return tok
 
     def fail(self, tok: Token, message: str):
-        raise ParseError([Diagnostic(tok.line, tok.col, message)])
+        raise ParseError([_diagnostic(self.text, tok.offset, message)])
 
     def _expect(self, kind: str, text: Optional[str], what: str) -> Token:
         """The next token, of ``kind`` and spelled ``text`` unless that is
@@ -187,7 +187,6 @@ class _Parser:
         if (
             self.peek().kind == "punct"
             and self.peek().text == "."
-            and self.pos + 1 < len(self.tokens)
             and self.tokens[self.pos + 1].kind == "word"
             and _DIGITS.match(self.tokens[self.pos + 1].text)
         ):
@@ -353,13 +352,13 @@ class _Parser:
 
 def parse_spec(text: str) -> Network:
     """Parse, validate and integer-scale a network specification."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     return normalize_constants(validate(parser.specification()))
 
 
 def parse_query(text: str, net: Network) -> Query:
     """Parse one ``go(...)`` query against a parsed network."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     return parser.query(net)
 
 

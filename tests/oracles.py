@@ -25,7 +25,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from zonereach.bounds import INF, ZERO_LE, add, is_strict, negated, value
+from zonereach.bounds import INF, ZERO_LE, add, bound, is_strict, value
 from zonereach.dbm import Dbm
 from zonereach.formula import Formula, LinearAtom, fm_is_empty, make_formula
 from zonereach.model import Atom, ClockConstraint, ClockId
@@ -58,6 +58,25 @@ def _normalized(atoms: Sequence[Atom]) -> Iterator[tuple[ClockId, Optional[Clock
             yield a.rhs, a.lhs, False, -a.const
         else:
             raise ValueError(f"unknown operator {a.op!r}")
+
+
+def negated(raw: int) -> int:
+    """Raw encoding of the complement of a bound.
+
+    not(e <= v) is -e < -v and not(e < v) is -e <= -v, so the complement
+    flips both the sign of the value and the strictness.  Undefined for
+    INF, whose complement would be the empty constraint.
+    """
+    if raw == INF:
+        raise ValueError("the unbounded bound has no complement")
+    return bound(-(raw >> 1), strict=bool(raw & 1))
+
+
+def constraint_clocks(c: ClockConstraint) -> frozenset[ClockId]:
+    """The clocks a constraint reads; a difference atom reads both."""
+    return frozenset(
+        clock for atom in c.atoms for clock in (atom.lhs, atom.rhs) if clock is not None
+    )
 
 
 def _col(side: Optional[ClockId], index: dict, pts: np.ndarray):

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zonereach.bounds import INF, ZERO_LE, add, bound, is_strict, negated, value
+from oracles import negated
+from zonereach.bounds import INF, ZERO_LE, add, bound, is_strict, value
 
 values = st.integers(min_value=-1000, max_value=1000)
 bounds = st.builds(bound, values, st.booleans())

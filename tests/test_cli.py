@@ -16,6 +16,11 @@ INSIDE = "go(Far.Up.u0.nil/true, In.Down.u0.nil/true)"
 UNSAFE = "go(Far.Up.u0.nil/true, In.Up.u0.nil/true)"
 
 
+def _stdin(data: bytes) -> io.TextIOWrapper:
+    """A standard input that holds ``data``."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 @pytest.fixture
 def run(capsys):
     def invoke(*argv):
@@ -59,7 +64,7 @@ def test_query_file_skips_comments(run):
 
 
 def test_stdin_queries_when_no_flag_given(run, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(f"// header\n{INSIDE}\n\n"))
+    monkeypatch.setattr("sys.stdin", _stdin(f"// header\n{INSIDE}\n\n".encode()))
     code, out, _ = run(TRAIN_PATH)
     assert code == cli.OK
     assert out == f"{INSIDE}\tTrue\n"
@@ -114,6 +119,23 @@ def test_query_file_that_is_not_utf8(run, tmp_path):
     code, out, err = run(TRAIN_PATH, "--queries", bad)
     assert code == cli.NO_FILE and out == ""
     assert err == f"zonereach: cannot read {bad}: not UTF-8 text\n"
+
+
+def test_stdin_that_is_not_utf8(run, monkeypatch):
+    monkeypatch.setattr("sys.stdin", _stdin(b"go(\xff)\n"))
+    code, out, err = run(TRAIN_PATH)
+    assert code == cli.NO_FILE and out == ""
+    assert err == "zonereach: cannot read <stdin>: not UTF-8 text\n"
+
+
+def test_stdin_is_utf8_whatever_the_locale_encoding():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONIOENCODING="ascii")
+    for data, code, err in [(f"{INSIDE}\n".encode(), cli.OK, b""),
+                            (b"go(\xff)\n", cli.NO_FILE,
+                             b"zonereach: cannot read <stdin>: not UTF-8 text\n")]:
+        done = subprocess.run([sys.executable, "-m", "zonereach", str(TRAIN_PATH)], input=data,
+                              capture_output=True, env=env, cwd=REPO, timeout=60)
+        assert (done.returncode, done.stderr) == (code, err)
 
 
 def test_missing_query_file(run, tmp_path):
@@ -227,7 +249,7 @@ def test_selftest_refuses_witness(run):
 
 
 def test_selftest_with_no_queries(run, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    monkeypatch.setattr("sys.stdin", _stdin(b""))
     code, out, _ = run(TRAIN_PATH, "--selftest")
     assert code == cli.OK and out == "agree: 0/0\n"
 

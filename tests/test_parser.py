@@ -183,6 +183,26 @@ def test_comments_and_whitespace_are_invisible():
     assert parse_spec(commented) == parse_spec(text)
 
 
+# Where each case of test_positioned_diagnostics is reported, (line, col).
+POSITIONS = {
+    "expected 'specification'": (1, 1),
+    "expected a number": (13, 20),
+    "unknown clock 'W'": (13, 16),
+    "reserved": (3, 10),
+    "undeclared location 'zz'": (13, 34),
+    "unexpected trailing input": (19, 1),
+    "undeclared label 'gone'": (13, 11),
+    "unexpected character '?'": (13, 17),
+    "duplicate invariant for location 'a'": (10, 16),
+    # a comment line does not shift the next line's columns
+    "unexpected character '@'": (7, 1),
+    # a tab before a token is one column
+    "label 'gone'": (13, 12),
+    "unexpected trailing input 'extra'": (17, 5),
+    "expected 'end', found end of input": (18, 1),
+}
+
+
 @pytest.mark.parametrize(
     "mangle, fragment",
     [
@@ -196,6 +216,11 @@ def test_comments_and_whitespace_are_invisible():
         (lambda t: t.replace("X<=1", "X?1"), "unexpected character '?'"),
         (lambda t: t.replace("b : true", "b : true a : true"),
          "duplicate invariant for location 'a'"),
+        (lambda t: t.replace("Automata\n", "Automata\n// a comment\n@\n"),
+         "unexpected character '@'"),
+        (lambda t: t.replace("a , go :", "\ta , gone :"), "label 'gone'"),
+        (lambda t: t.replace("end\n", "end extra"), "unexpected trailing input 'extra'"),
+        (lambda t: t.replace("end\n", "\n"), "expected 'end', found end of input"),
     ],
 )
 def test_positioned_diagnostics(mangle, fragment):
@@ -206,6 +231,7 @@ def test_positioned_diagnostics(mangle, fragment):
     assert fragment in diag.message
     assert diag.line >= 1 and diag.col >= 1
     assert str(diag).startswith(f"line {diag.line}, col {diag.col}:")
+    assert (diag.line, diag.col) == POSITIONS[fragment]
 
 
 def test_validation_errors_surface_after_parsing():
