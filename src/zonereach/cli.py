@@ -14,6 +14,8 @@ it, and prints one tab-separated verdict line per query.  Exit status:
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -74,6 +76,8 @@ def _read(path: Optional[str]) -> Optional[str]:
     None; None once the reason it cannot be read is printed."""
     try:
         if path is None:
+            if sys.stdin is None:  # started with standard input closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             return sys.stdin.buffer.read().decode("utf-8")
         return Path(path).read_text(encoding="utf-8")
     except OSError as err:

@@ -50,10 +50,17 @@ abstraction (``k`` or LU).  ``root_state`` and ``successors`` take
 it, so ``explore`` and ``replay_witness`` walk the same successor
 relation.
 
-Symmetry (Ip & Dill, FMSD 1996): ``_Visited.insert`` stores a state with
-the twins the target treats alike (``_stabilizer``) in a canonical order;
-the worklist keeps the actual state, so goal tests and witnesses stay
-exact.  The formula backend, an independent oracle, is not reduced.
+Symmetry (Ip & Dill, FMSD 1996; Hendriks et al., FORMATS 2003):
+``_Visited.insert`` stores a state with the twins the source treats alike
+(``_stabilizer``) in a canonical order, or with those the target treats
+alike when that group is larger (``_group``).  The worklist keeps the
+actual state.  Since a pruned state stands for any permutation of itself,
+a state is a goal when it meets some image σ(target) of the target under
+the group (``_goals``); σ fixes the source, so σ⁻¹ of the witness is a
+run to the target itself (``_unpermuted``), and the goal constraints of
+the whole orbit count as read when clocks are freed and L and U are
+bounded.  The formula backend, an independent oracle, is not reduced,
+and ``replay_witness`` builds no orbit.
 
 The search is a plain worklist (LIFO or FIFO).  Every new state, the
 source state included, is goal-tested before the visited check, so a
@@ -77,6 +84,7 @@ from typing import Iterator, Optional, Sequence, Union
 from .dbm import Dbm
 from .formula import Formula
 from .model import (
+    ClockConstraint,
     LabelId,
     LocationVector,
     Network,
@@ -157,10 +165,14 @@ class ExploreResult:
 
 class Search:
     """What one search derives from ``(net, query, options)``: the zone
-    type and the abstraction in use.  What a zone meets on entering a
-    vector (invariant, freed clocks, L and U) is one ``Network.entry``
-    per vector and target constraint, which the network keeps for every
-    search.
+    type, the abstraction in use and, for a ``symmetric`` search on the
+    DBM backend, the twins it canonicalises under (``orbits``).  ``goals``
+    maps each location vector of the target's orbit to its images σ(target)
+    with their σ (see ``_goals``); ``reads`` is the conjunction of their
+    constraints, the target's own one when there are no twins.  What a
+    zone meets on entering a vector (invariant, freed clocks, L and U) is
+    one ``Network.entry`` per vector and ``reads``, which the network keeps
+    for every search.
 
     Without diagonal atoms in the network's guards and invariants or in
     the target, stored zones stay exact and ``lu`` is set: the entry's
@@ -170,15 +182,20 @@ class Search:
     ``SearchOptions(extrapolate=False)`` there is neither: ``k`` is None
     and ``lu`` is False."""
 
-    def __init__(self, net: Network, query: Query, options: Optional[SearchOptions] = None):
+    def __init__(
+        self, net: Network, query: Query, options: Optional[SearchOptions] = None, symmetric: bool = False
+    ):
         if options is None:
             options = SearchOptions()
         self.net = net
         self.query = query
         self.zone_type = ZONE_TYPES[options.backend]
-        target = query.target.constraint
-        diagonal = net.has_diagonal or any(atom.rhs is not None for atom in target.atoms)
-        self.k = max_constants(net, query) if options.extrapolate and diagonal else None
+        self.orbits = _group(net, query) if symmetric and self.zone_type is Dbm else ()
+        self.goals, self.reads = _goals(net, self.orbits, query.target)
+        diagonal = net.has_diagonal or any(atom.rhs is not None for atom in self.reads.atoms)
+        self.k = None
+        if options.extrapolate and diagonal:  # the constants of every image of the target
+            self.k = max_constants(net, replace(query, target=replace(query.target, constraint=self.reads)))
         self.lu = options.extrapolate and not diagonal
 
     def enter(self, vector: LocationVector, zone: Zone) -> Optional[StateZone]:
@@ -186,7 +203,7 @@ class Search:
         constrained by the vector's invariant, delayed within it, its
         inactive clocks freed, and widened past ``k`` unless ``k`` is None;
         None when the invariant leaves nothing."""
-        entry = self.net.entry(vector, self.query.target.constraint)
+        entry = self.net.entry(vector, self.reads)
         zone = zone.constrain(entry.invariant)
         if zone.is_empty():
             return None
@@ -223,43 +240,99 @@ def is_goal(state: StateZone, target: StatePattern) -> bool:
     return not state.zone.constrain(target.constraint).is_empty()
 
 
-def _fixes(net: Network, twins: dict, perm: dict[int, int], target: StatePattern) -> bool:
-    """Does permuting twins (``Network.permutation``) map the target onto itself?"""
+def _image(net: Network, twins: dict, perm: dict[int, int], pattern: StatePattern) -> StatePattern:
+    """The pattern with twins permuted (automaton -> automaton): each twin's
+    location and clocks go to its image, and the locations of the automata
+    reading their labels move by ``Network.permutation``, which must exist."""
     moved = net.permutation(perm)
-    vector = list(target.locations)
+    vector = list(pattern.locations)
     for a, b in perm.items():
-        vector[b] = target.locations[a]
+        vector[b] = pattern.locations[a]
     rename = {c: d for a, b in perm.items() for c, d in zip(twins[a], twins[b])}
-    atoms = {atom._replace(lhs=rename.get(atom.lhs, atom.lhs), rhs=rename.get(atom.rhs, atom.rhs))
-             for atom in target.constraint.atoms}
-    if moved is None or atoms != set(target.constraint.atoms):
+    atoms = tuple(atom._replace(lhs=rename.get(atom.lhs, atom.lhs), rhs=rename.get(atom.rhs, atom.rhs))
+                  for atom in pattern.constraint.atoms)
+    return StatePattern(tuple(moved.get(loc, loc) for loc in vector), ClockConstraint(atoms))
+
+
+def _fixes(net: Network, twins: dict, perm: dict[int, int], pattern: StatePattern) -> bool:
+    """Does permuting twins (``Network.permutation``) map the pattern onto itself?"""
+    if net.permutation(perm) is None:
         return False
-    return tuple(moved.get(loc, loc) for loc in vector) == target.locations
+    image = _image(net, twins, perm, pattern)
+    same = set(image.constraint.atoms) == set(pattern.constraint.atoms)
+    return same and image.locations == pattern.locations
 
 
-def _stabilizer(net: Network, target: StatePattern) -> tuple[_Orbit, ...]:
-    """Per class of ``Network.symmetry``, the runs of twins that the target
+def _stabilizer(net: Network, pattern: StatePattern) -> tuple[_Orbit, ...]:
+    """Per class of ``Network.symmetry``, the runs of twins that the pattern
     treats alike: a twin joins the first run whose last twin it swaps
-    with (``_fixes``).  Every permutation of a run fixes the target."""
+    with (``_fixes``).  Every permutation of a run fixes the pattern."""
     orbits = []
     for twins in net.symmetry:
         runs: list[list[int]] = []
         for b in twins:
-            run = next((run for run in runs if _fixes(net, twins, {run[-1]: b, b: run[-1]}, target)), None)
+            run = next((run for run in runs if _fixes(net, twins, {run[-1]: b, b: run[-1]}, pattern)), None)
             runs.append([b]) if run is None else run.append(b)
-        orbits += [_Orbit(net, twins, run, target) for run in runs if len(run) > 1]
+        orbits += [_Orbit(net, twins, run, pattern) for run in runs if len(run) > 1]
     return tuple(orbits)
 
 
-class _Orbit:
-    """A run of twins that the target treats alike.  The canonical form
-    of a state sorts them by a key that permuting them carries along: the
-    position of the twin's location in its automaton, and per clock its
-    bounds against 0 and its sorted row and column.  Ties only leave states
-    apart."""
+def _group(net: Network, query: Query) -> tuple[_Orbit, ...]:
+    """The twins a search canonicalises under: the source's stabilizer,
+    or the target's when that has more permutations (the target's orbit
+    is then the target alone)."""
+    source, target = _stabilizer(net, query.source), _stabilizer(net, query.target)
+    return target if target and _order(source) < _order(target) else source
 
-    def __init__(self, net: Network, twins: dict, members: list[int], target: StatePattern):
-        self.net, self.twins, self.target = net, twins, target
+
+def _order(orbits: tuple[_Orbit, ...]) -> int:
+    return math.prod(math.factorial(len(orbit.members)) for orbit in orbits)
+
+
+def _goals(net: Network, orbits: tuple[_Orbit, ...], target: StatePattern) -> tuple[dict, ClockConstraint]:
+    """The target's orbit under the group the orbits generate, found by
+    closing it under their swaps of neighbours: per location vector, each
+    image σ(target) paired with σ, the tuple of each automaton's image;
+    and the conjunction of the images' constraints, which is the target's
+    own constraint when no image adds an atom."""
+    identity = tuple(range(len(net.automata)))
+    table = {target.locations: [(target, identity)]}
+    images = [(target, identity)]
+    reads = target.constraint
+    for pattern, sigma in images:  # grows while it is walked
+        for orbit in orbits:
+            for a, b in zip(orbit.members, orbit.members[1:]):
+                swap = {a: b, b: a}
+                image = _image(net, orbit.twins, swap, pattern)
+                found = table.setdefault(image.locations, [])
+                atoms = set(image.constraint.atoms)
+                if all(atoms != set(other.constraint.atoms) for other, _ in found):
+                    found.append((image, tuple(swap.get(i, i) for i in sigma)))
+                    images.append(found[-1])
+                    if not atoms <= set(reads.atoms):
+                        reads = ClockConstraint(tuple(dict.fromkeys(reads.atoms + image.constraint.atoms)))
+    return table, reads
+
+
+def _unpermuted(net: Network, sigma: tuple[int, ...], witness: tuple[LabelId, ...]) -> tuple[LabelId, ...]:
+    """A witness of σ(target) mapped back to the target: each label of
+    twin σ(a) becomes twin a's label at the same position."""
+    back: dict[LabelId, LabelId] = {}
+    for a, b in enumerate(sigma):
+        if a != b:
+            back |= zip(net.automata[b].alphabet, net.automata[a].alphabet)
+    return tuple(back.get(label, label) for label in witness)
+
+
+class _Orbit:
+    """A run of twins that a pattern (the source or the target) treats
+    alike.  The canonical form of a state sorts them by a key that
+    permuting them carries along: the position of the twin's location in
+    its automaton, and per clock its bounds against 0 and its sorted row
+    and column.  Ties only leave states apart."""
+
+    def __init__(self, net: Network, twins: dict, members: list[int], pattern: StatePattern):
+        self.net, self.twins, self.pattern = net, twins, pattern
         self.members, self.identity = members, tuple(range(len(members)))
         self.position = {loc: r for a in members for r, loc in enumerate(net.automata[a].locations)}
         self.cells = [[net.clocks.index(c) + 1 for c in twins[a]] for a in members]
@@ -287,7 +360,7 @@ class _Orbit:
         """Twin q taking twin ``order[q]``'s state: the locations moved, the
         slot each vector slot reads, and ``Dbm.permute``'s index list."""
         perm = {self.members[p]: self.members[q] for q, p in enumerate(order)}
-        if not _fixes(self.net, self.twins, perm, self.target):
+        if not _fixes(self.net, self.twins, perm, self.pattern):
             return None
         slots, source = list(range(len(self.net.automata))), list(range(size))
         for q, p in enumerate(order):
@@ -313,8 +386,8 @@ class _Visited:
     def __init__(self, search: Search, mode: str):
         self.equal = mode == "equal"
         self.net = search.net
-        self.reads = search.query.target.constraint if search.lu else None
-        self.orbits = _stabilizer(self.net, search.query.target) if search.zone_type is Dbm else ()
+        self.reads = search.reads if search.lu else None
+        self.orbits = search.orbits
         self.permuted = 0
         self.buckets: dict[LocationVector, Union[set, list[list]]] = {}
 
@@ -325,8 +398,8 @@ class _Visited:
         return zone.extrapolate_lu(entry.lower, entry.upper)
 
     def insert(self, state: StateZone) -> bool:
-        """Store the state, in canonical form under the target's stabilizer
-        (``_stabilizer``), unless it is pruned; False when it is pruned."""
+        """Store the state, in canonical form under the search's twins
+        (``Search.orbits``), unless it is pruned; False when it is pruned."""
         vector, zone = state.locations, state.zone
         for orbit in self.orbits:
             vector, zone = orbit.canonical(vector, zone)
@@ -380,9 +453,10 @@ def explore(net: Network, query: Query, options: Optional[SearchOptions] = None)
         options = SearchOptions()
     started = time.monotonic()
     deadline = None if options.max_seconds is None else started + options.max_seconds
-    search = Search(net, query, options)
+    search = Search(net, query, options, symmetric=True)
     stats = SearchStats()
     visited = _Visited(search, options.subsumption)
+    goals = search.goals
 
     def result(verdict, witness=None, reason=None):
         stats.seconds = time.monotonic() - started
@@ -397,12 +471,13 @@ def explore(net: Network, query: Query, options: Optional[SearchOptions] = None)
     while True:
         for label, succ in batch:
             child = _Node(succ, node, label)
-            if is_goal(succ, query.target):
-                witness = _trace(child)
-                if search.k is not None:  # Extra_M: certify by an exact replay
-                    if not replay_witness(net, query, witness, replace(options, extrapolate=False)):
-                        return result(Verdict.INCONCLUSIVE, reason="witness does not replay exactly")
-                return result(Verdict.REACHABLE, witness=witness)
+            for image, sigma in goals.get(succ.locations, ()):  # each σ(target) at this vector
+                if is_goal(succ, image):
+                    witness = _unpermuted(net, sigma, _trace(child))
+                    if search.k is not None:  # Extra_M: certify by an exact replay
+                        if not replay_witness(net, query, witness, replace(options, extrapolate=False)):
+                            return result(Verdict.INCONCLUSIVE, reason="witness does not replay exactly")
+                    return result(Verdict.REACHABLE, witness=witness)
             if not visited.insert(succ):
                 stats.subsumed += 1
                 continue

@@ -96,13 +96,18 @@ class Formula:
         return fm_extrapolate_lu(self, lower, upper)
 
     def includes(self, other: "Formula") -> bool:
-        """Cellwise on the tightest-bounds form, which is canonical."""
-        mine, theirs = self.closed_cells, other.closed_cells
+        """Does ``other`` entail every atom of this formula?  An atom
+        ``pos - neg <= b`` holds on ``other`` when its tightest bound on
+        ``pos - neg``, a cell of its closed form, is at most ``b``; those
+        bounds are exact, so only ``other`` needs its closure."""
+        theirs = other.closed_cells
         if theirs is None:
             return True
-        if mine is None:
+        if self.is_false:
             return False
-        return all(o <= s for s, o in zip(mine, theirs))
+        size = len(self.clocks) + 1
+        index = {None: 0, **{clock: i for i, clock in enumerate(self.clocks, 1)}}
+        return all(theirs[index[a.pos] * size + index[a.neg]] <= a.bnd for a in self.atoms)
 
     @property
     def key(self) -> Optional[tuple[int, ...]]:

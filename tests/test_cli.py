@@ -1,5 +1,6 @@
 """Command-line behaviour: output formats and exit codes."""
 
+import errno
 import io
 import os
 import re
@@ -126,6 +127,14 @@ def test_stdin_that_is_not_utf8(run, monkeypatch):
     code, out, err = run(TRAIN_PATH)
     assert code == cli.NO_FILE and out == ""
     assert err == "zonereach: cannot read <stdin>: not UTF-8 text\n"
+
+
+def test_closed_stdin_is_reported_not_a_traceback(run, monkeypatch):
+    # a program started with standard input closed (``<&-``) sees None
+    monkeypatch.setattr("sys.stdin", None)
+    code, out, err = run(TRAIN_PATH)
+    assert code == cli.NO_FILE and out == ""
+    assert err == f"zonereach: cannot read <stdin>: {os.strerror(errno.EBADF)}\n"
 
 
 def test_stdin_is_utf8_whatever_the_locale_encoding():

@@ -195,6 +195,27 @@ def test_includes_and_equiv_mirror_set_semantics():
     assert b.includes(empty1) and not empty1.includes(b)
 
 
+def test_includes_agrees_with_the_matrix_backend():
+    """``Formula.includes`` reads the included zone's closed form only;
+    the matrix backend compares two canonical matrices."""
+    rng = random.Random(53)
+    held = 0
+    for _ in range(300):
+        clocks = make_clocks(rng.randint(1, 3))
+        constraints = [random_constraint(rng, clocks) for _ in range(2)]
+        zones = [(Formula.from_constraint(c, clocks), Dbm.from_constraint(c, clocks)) for c in constraints]
+        if rng.random() < 0.5:
+            zones = [(fm_elapse(f), d.elapse()) for f, d in zones]
+        if rng.random() < 0.5:
+            lower, upper = ({x: rng.choice((0, 1, 3)) for x in clocks} for _ in range(2))
+            f, d = zones[0]
+            zones[0] = (f.extrapolate_lu(lower, upper), d.extrapolate_lu(lower, upper))
+        (f, d), (g, e) = zones
+        assert f.includes(g) == d.includes(e)
+        held += d.includes(e)
+    assert 30 < held < 270
+
+
 def test_closed_cells_match_the_matrix_backend():
     """The tightest-bounds form of a formula is exactly the canonical
     matrix of the same constraint: the visited-set signatures of the

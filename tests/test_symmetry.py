@@ -1,6 +1,7 @@
 """Process symmetry: which automata ``Network.symmetry`` finds
 interchangeable, and that storing one canonical state per orbit of the
-target's stabilizer changes no verdict.
+source's stabilizer, testing the goal against the target's orbit and
+mapping the witness back, changes no verdict.
 
 The unreduced search comes from patching ``Network.symmetry`` to the
 trivial group; the formula backend is never reduced.
@@ -9,6 +10,7 @@ trivial group; the formula backend is never reduced.
 import dataclasses
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +24,8 @@ from zonereach.explorer import (
     SearchOptions,
     StateZone,
     Verdict,
+    _goals,
+    _group,
     _stabilizer,
     _Visited,
     explore,
@@ -45,6 +49,7 @@ from zonereach.model import (
     normalize_constants,
     validate,
 )
+from zonereach.simulate import find_concrete_run
 
 EXACT = SearchOptions(extrapolate=False)
 CAPPED = [dataclasses.replace(o, max_zones=2000) for o in ALL_CONFIGS + [FAITHFUL] if o.backend == "dbm"]
@@ -141,13 +146,79 @@ def test_permute_renames_clocks():
 # -- reduction ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n, stored", [(4, 305), (5, 723)])
+@pytest.mark.parametrize("n, stored", [(4, 38), (5, 60), (7, 126)])
 def test_fischer_stores_one_zone_per_orbit(n, stored):
     net, query = fischer(n)
     for order in ("bfs", "dfs"):
         result = explore(net, query, SearchOptions(order=order))
         assert result.verdict is Verdict.UNREACHABLE
         assert result.stats.stored == stored and result.stats.permuted > 0
+
+
+def test_the_target_orbit_is_every_pair_in_cs_with_the_lock_naming_the_second():
+    net, query = fischer(4)
+    orbits = _group(net, query)
+    assert [orbit.members for orbit in orbits] == [[0, 1, 2, 3]]
+    goals, _ = _goals(net, orbits, query.target)
+    images = [(image, sigma) for found in goals.values() for image, sigma in found]
+    assert len(images) == len(goals) == 12
+    for image, sigma in images:
+        names = [loc.name for loc in image.locations]
+        a, b = sigma[0] + 1, sigma[1] + 1
+        assert names == [f"CS{i}" if i in (a, b) else f"A{i}" for i in range(1, 5)] + [f"id{b}"]
+    # without twins the orbit is the target alone
+    plain = parse_spec(staggered_fischer_spec(2))
+    query = parse_query(gen.fischer_mutex_query(2), plain)
+    assert _goals(plain, _group(plain, query), query.target) == (
+        {query.target.locations: [(query.target, (0, 1, 2))]}, query.target.constraint)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_every_mutex_pair_is_broken_by_a_witness_mapped_back_to_it(n):
+    net = parse_spec(gen.fischer_spec(n, 2, wait=1))
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            if a == b:
+                continue
+            query = parse_query(gen.fischer_mutex_query(n, a, b), net)
+            for order in ("bfs", "dfs"):
+                result = explore(net, query, SearchOptions(order=order))
+                assert result.verdict is Verdict.REACHABLE
+                assert replay_witness(net, query, result.witness, EXACT)
+                if n == 3:
+                    assert find_concrete_run(net, query, result.witness, Fraction(12), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_image_of_the_target_keeps_its_clock_live(n):
+    # a process enters CS more than 2 after writing the lock, so x2<2 never
+    # holds in CS2; nothing reads x1 in CS1 either, and freeing it there
+    # would let CS1 meet the image x1<2 and answer a wrong True
+    net, _ = fischer(n)
+    target = gen.fischer_vector(n, {2: "CS"}, 2)
+    query = parse_query(f"go({gen.fischer_initial(n)}, {target}/x2<2 ^ true)", net)
+    goals, reads = _goals(net, _group(net, query), query.target)
+    assert len(goals) == len(reads.atoms) == n
+    for order in ("bfs", "dfs"):
+        assert explore(net, query, SearchOptions(order=order)).verdict is Verdict.UNREACHABLE
+
+
+def test_an_asymmetric_source_keeps_the_larger_stabilizer_of_the_target():
+    net, _ = fischer(4)
+    source = gen.fischer_initial(4).replace("x1=0", "x1=1")
+    # every process in CS: the target is fixed by all 24 permutations, the
+    # source by the 6 that leave process 1 alone
+    query = parse_query(f"go({source}, {gen.fischer_vector(4, {i: 'CS' for i in range(1, 5)}, 0)}/true)", net)
+    assert [o.members for o in _stabilizer(net, query.source)] == [[1, 2, 3]]
+    assert [o.members for o in _group(net, query)] == [[0, 1, 2, 3]]
+    # the pair in CS with the lock naming process 2: the target is fixed by
+    # the 2 permutations of processes 3..4, the source by the 6 of 2..4
+    mutex = parse_query(f"go({source}, {gen.fischer_vector(4, {1: 'CS', 2: 'CS'}, 2)}/true)", net)
+    assert [o.members for o in _group(net, mutex)] == [[1, 2, 3]]
+    for q, stored in ((query, 38), (mutex, 119)):
+        for order in ("bfs", "dfs"):
+            result = explore(net, q, SearchOptions(order=order))
+            assert result.verdict is Verdict.UNREACHABLE and result.stats.stored == stored
 
 
 def test_a_canonical_state_behaves_like_the_state_it_stands_for():
