@@ -45,13 +45,14 @@ reaches the vector: its merged moves (``Network.moves``), and per goal
 constraint one ``Network.entry`` with its invariant, the clocks freed
 on entering it and the L and U bounds, read off ``Network.lu_bounds``
 with the goal's atoms bounding L and U like one more guard.  A
-``Search`` holds what one query adds: the zone type and the
-abstraction (``k`` or LU).  ``root_state`` and ``successors`` take
-it, so ``explore`` and ``replay_witness`` walk the same successor
-relation.
+``Search`` holds what one query adds: the zone type, the abstraction
+(``k`` or LU), the twins and the target's orbit, the visited set and
+the counters.  ``root_state`` and ``successors`` take it, and
+``explore`` and ``replay_witness`` build it alike, so they walk the
+same successor relation over the same ``Network.entry`` tables.
 
 Symmetry (Ip & Dill, FMSD 1996; Hendriks et al., FORMATS 2003):
-``_Visited.insert`` stores a state with the twins the source treats alike
+``Search.insert`` stores a state with the twins the source treats alike
 (``_stabilizer``) in a canonical order, or with those the target treats
 alike when that group is larger (``_group``).  The worklist keeps the
 actual state.  Since a pruned state stands for any permutation of itself,
@@ -59,13 +60,12 @@ a state is a goal when it meets some image σ(target) of the target under
 the group (``_goals``); σ fixes the source, so σ⁻¹ of the witness is a
 run to the target itself (``_unpermuted``), and the goal constraints of
 the whole orbit count as read when clocks are freed and L and U are
-bounded.  The formula backend, an independent oracle, is not reduced,
-and ``replay_witness`` builds no orbit.
+bounded.  The formula backend, an independent oracle, is not reduced.
 
 The search is a plain worklist (LIFO or FIFO).  Every new state, the
 source state included, is goal-tested before the visited check, so a
 goal is reported even when the state would have been pruned; then it
-is pruned or stored in one step (``_Visited.insert``), and a stored
+is pruned or stored in one step (``Search.insert``), and a stored
 state is checked against the zone limit.  Visited states are pruned
 either by equality of the zones' abstractions or by inclusion in the
 abstraction of an already-stored zone; with extrapolation switched on
@@ -164,15 +164,15 @@ class ExploreResult:
 
 
 class Search:
-    """What one search derives from ``(net, query, options)``: the zone
-    type, the abstraction in use and, for a ``symmetric`` search on the
-    DBM backend, the twins it canonicalises under (``orbits``).  ``goals``
-    maps each location vector of the target's orbit to its images σ(target)
-    with their σ (see ``_goals``); ``reads`` is the conjunction of their
-    constraints, the target's own one when there are no twins.  What a
-    zone meets on entering a vector (invariant, freed clocks, L and U) is
-    one ``Network.entry`` per vector and ``reads``, which the network keeps
-    for every search.
+    """One query's search: what it derives from ``(net, query, options)``,
+    the states it stores and its counters.  On the DBM backend ``orbits``
+    are the twins it canonicalises under (see ``_group``); the formula
+    backend keeps none.  ``goals`` maps each location vector of the
+    target's orbit to its images σ(target) with their σ (see ``_goals``);
+    ``reads`` is the conjunction of their constraints, the target's own
+    one when there are no twins.  What a zone meets on entering a vector
+    (invariant, freed clocks, L and U) is one ``Network.entry`` per
+    vector and ``reads``, which the network keeps for every search.
 
     Without diagonal atoms in the network's guards and invariants or in
     the target, stored zones stay exact and ``lu`` is set: the entry's
@@ -180,23 +180,32 @@ class Search:
     them, LU is unsound and stored zones are widened past the maximum
     constants ``k`` on entry instead (Extra_M).  Under
     ``SearchOptions(extrapolate=False)`` there is neither: ``k`` is None
-    and ``lu`` is False."""
+    and ``lu`` is False.
 
-    def __init__(
-        self, net: Network, query: Query, options: Optional[SearchOptions] = None, symmetric: bool = False
-    ):
+    ``buckets`` is the visited set, one bucket per location vector
+    (``insert``), and ``stats`` counts the search.  A zone's abstraction
+    is Extra⁺_LU with its entry's ``lower`` and ``upper`` when ``lu`` is
+    set, else the zone itself.  Under ``equal`` a bucket is the set of
+    its abstractions' keys; under ``include`` it holds ``[zone,
+    abstraction-or-None]``: a stored zone's abstraction is computed the
+    first time a new zone is compared against it, then kept."""
+
+    def __init__(self, net: Network, query: Query, options: Optional[SearchOptions] = None):
         if options is None:
             options = SearchOptions()
         self.net = net
         self.query = query
         self.zone_type = ZONE_TYPES[options.backend]
-        self.orbits = _group(net, query) if symmetric and self.zone_type is Dbm else ()
+        self.orbits = _group(net, query) if self.zone_type is Dbm else ()
         self.goals, self.reads = _goals(net, self.orbits, query.target)
         diagonal = net.has_diagonal or any(atom.rhs is not None for atom in self.reads.atoms)
         self.k = None
         if options.extrapolate and diagonal:  # the constants of every image of the target
             self.k = max_constants(net, replace(query, target=replace(query.target, constraint=self.reads)))
         self.lu = options.extrapolate and not diagonal
+        self.equal = options.subsumption == "equal"
+        self.stats = SearchStats()
+        self.buckets: dict[LocationVector, Union[set, list[list]]] = {}
 
     def enter(self, vector: LocationVector, zone: Zone) -> Optional[StateZone]:
         """The stored state of a zone entering a location vector: the zone
@@ -211,6 +220,40 @@ class Search:
         if self.k is not None:
             zone = zone.extrapolate(self.k)
         return StateZone(vector, zone)
+
+    def _abstract(self, vector: LocationVector, zone: Zone) -> Zone:
+        if not self.lu:
+            return zone
+        entry = self.net.entry(vector, self.reads)
+        return zone.extrapolate_lu(entry.lower, entry.upper)
+
+    def insert(self, state: StateZone) -> bool:
+        """Store the state, in canonical form under the search's twins
+        (``orbits``), unless it is pruned; False when it is pruned."""
+        vector, zone = state.locations, state.zone
+        for orbit in self.orbits:
+            vector, zone = orbit.canonical(vector, zone)
+        bucket = self.buckets.get(vector)
+        if self.equal:
+            key = self._abstract(vector, zone).key
+            if bucket is None:
+                bucket = self.buckets[vector] = set()
+            if key in bucket:
+                return False
+            bucket.add(key)
+        else:
+            if bucket is None:
+                bucket = self.buckets[vector] = []
+            for stored in bucket:
+                wide = stored[1]
+                if wide is None:
+                    wide = stored[1] = self._abstract(vector, stored[0])
+                if wide.includes(zone):
+                    return False
+            bucket.append([zone, None])
+        if zone is not state.zone:
+            self.stats.permuted += 1
+        return True
 
 
 def root_state(search: Search) -> Optional[StateZone]:
@@ -371,60 +414,6 @@ class _Orbit:
         return self.net.permutation(perm), slots, index
 
 
-class _Visited:
-    """The search's stored states, one bucket per location vector.  A
-    new zone is pruned when it lies inside the abstraction of a zone
-    stored at the same vector (``include``), or when the two zones'
-    abstractions are equal (``equal``).  The abstraction is Extra⁺_LU
-    with the ``lower`` and ``upper`` of the vector's ``Network.entry``
-    when ``search.lu`` is set, else the zone itself.  Under ``equal`` a
-    bucket is the set of its abstractions' keys; under ``include`` it
-    holds ``[zone, abstraction-or-None]``: a stored zone's abstraction
-    is computed the first time a new zone is compared against it, then
-    kept."""
-
-    def __init__(self, search: Search, mode: str):
-        self.equal = mode == "equal"
-        self.net = search.net
-        self.reads = search.reads if search.lu else None
-        self.orbits = search.orbits
-        self.permuted = 0
-        self.buckets: dict[LocationVector, Union[set, list[list]]] = {}
-
-    def _abstract(self, vector: LocationVector, zone: Zone) -> Zone:
-        if self.reads is None:
-            return zone
-        entry = self.net.entry(vector, self.reads)
-        return zone.extrapolate_lu(entry.lower, entry.upper)
-
-    def insert(self, state: StateZone) -> bool:
-        """Store the state, in canonical form under the search's twins
-        (``Search.orbits``), unless it is pruned; False when it is pruned."""
-        vector, zone = state.locations, state.zone
-        for orbit in self.orbits:
-            vector, zone = orbit.canonical(vector, zone)
-        bucket = self.buckets.get(vector)
-        if self.equal:
-            key = self._abstract(vector, zone).key
-            if bucket is None:
-                bucket = self.buckets[vector] = set()
-            if key in bucket:
-                return False
-            bucket.add(key)
-        else:
-            if bucket is None:
-                bucket = self.buckets[vector] = []
-            for stored in bucket:
-                wide = stored[1]
-                if wide is None:
-                    wide = stored[1] = self._abstract(vector, stored[0])
-                if wide.includes(zone):
-                    return False
-            bucket.append([zone, None])
-        self.permuted += zone is not state.zone
-        return True
-
-
 @dataclass
 class _Node:
     state: StateZone
@@ -453,14 +442,11 @@ def explore(net: Network, query: Query, options: Optional[SearchOptions] = None)
         options = SearchOptions()
     started = time.monotonic()
     deadline = None if options.max_seconds is None else started + options.max_seconds
-    search = Search(net, query, options, symmetric=True)
-    stats = SearchStats()
-    visited = _Visited(search, options.subsumption)
-    goals = search.goals
+    search = Search(net, query, options)
+    stats, goals = search.stats, search.goals
 
     def result(verdict, witness=None, reason=None):
         stats.seconds = time.monotonic() - started
-        stats.permuted = visited.permuted
         return ExploreResult(verdict, witness, stats, reason)
 
     root = root_state(search)
@@ -478,7 +464,7 @@ def explore(net: Network, query: Query, options: Optional[SearchOptions] = None)
                         if not replay_witness(net, query, witness, replace(options, extrapolate=False)):
                             return result(Verdict.INCONCLUSIVE, reason="witness does not replay exactly")
                     return result(Verdict.REACHABLE, witness=witness)
-            if not visited.insert(succ):
+            if not search.insert(succ):
                 stats.subsumed += 1
                 continue
             # A state stored past the limit goes with the visited set.

@@ -24,6 +24,7 @@ from functools import partial
 from typing import Mapping, NamedTuple, Optional, TypeVar
 
 from .model import (
+    TRUE,
     Atom,
     Automaton,
     ClockConstraint,
@@ -232,7 +233,7 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "word" and tok.text == "true":
                 self.advance()
-                return ClockConstraint(tuple(atoms))
+                return ClockConstraint(tuple(atoms)) if atoms else TRUE
             lhs, rhs = self.clock_sides(clocks)
             op_tok = self._expect("op", None, "a comparison operator")
             start = self.pos

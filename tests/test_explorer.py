@@ -24,7 +24,6 @@ from zonereach.explorer import (
     SearchOptions,
     StateZone,
     Verdict,
-    _Visited,
     explore,
     is_goal,
     replay_witness,
@@ -204,14 +203,13 @@ def test_the_visited_set_keeps_one_bucket_per_vector(train_net, queries, options
     here, there = itertools.islice(
         itertools.product(*(aut.locations for aut in train_net.automata)), 2
     )
-    visited = _Visited(search, options.subsumption)
     zone = root_state(search).zone
     # one zone offered at two vectors is stored at both
-    assert visited.insert(StateZone(here, zone))
-    assert visited.insert(StateZone(there, zone))
+    assert search.insert(StateZone(here, zone))
+    assert search.insert(StateZone(there, zone))
     # offered again, as a fresh but equal zone, it is pruned at either
     for vector in (here, there, here):
-        assert not visited.insert(StateZone(vector, root_state(search).zone))
+        assert not search.insert(StateZone(vector, root_state(search).zone))
 
 
 def test_resource_limits_are_inconclusive_not_wrong(train_net, queries):

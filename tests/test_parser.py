@@ -60,6 +60,13 @@ def test_query_roundtrip(train_net):
         pretty_print(q)  # the scale lives on the network
 
 
+def test_an_empty_constraint_is_the_shared_true(train_net):
+    # ``Network.entry`` then finds a ``/true`` target's tables by identity
+    q = parse_query("go(Far.Up.u0.nil/true, In.Down.u0.nil/true)", train_net)
+    assert q.source.constraint is TRUE and q.target.constraint is TRUE
+    assert parse_query("go(Far.Up.u0.nil/X<=5 ^ true, In.Down.u0.nil/true)", train_net).source.constraint != TRUE
+
+
 # -- generated round-trips -----------------------------------------------------
 
 CONSTS = [0, 1, 2, 3, 5, 10, -1, -4, Fraction(1, 2), Fraction(5, 2), Fraction(3, 4), Fraction(7, 10)]

@@ -8,6 +8,7 @@ trivial group; the formula backend is never reduced.
 """
 
 import dataclasses
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -27,7 +28,6 @@ from zonereach.explorer import (
     _goals,
     _group,
     _stabilizer,
-    _Visited,
     explore,
     is_goal,
     replay_witness,
@@ -125,7 +125,7 @@ def test_the_stabilizer_keeps_the_twins_the_target_treats_alike():
     # processes 3..n may be permuted; the formula backend permutes none
     net, query = fischer(5)
     assert [orbit.members for orbit in _stabilizer(net, query.target)] == [[2, 3, 4]]
-    assert _Visited(Search(net, query, SearchOptions(backend="formula")), "include").orbits == ()
+    assert Search(net, query, SearchOptions(backend="formula")).orbits == ()
     # a clock of process 4 in the target sets it apart
     x4 = net.clocks[3]
     bounded = dataclasses.replace(query.target, constraint=ClockConstraint((Atom(x4, None, "<", 1),)))
@@ -367,3 +367,51 @@ def test_random_symmetric_networks_keep_their_verdicts(unsymmetric):
                 reachable += 1
     assert found > 140 and reduced_searches > 50
     assert fewer > 30 and reachable > 100
+
+
+def _swap_product(net, orbit, perm):
+    """The location map of a permutation of the orbit's run, composed from
+    ``Network.permutation`` of the swaps of neighbours that bubble-sort it
+    (the generators ``_goals`` closes the target's orbit under)."""
+    members = orbit.members
+    line = [members.index(perm[a]) for a in members]  # position p goes to line[p]
+    swaps = []
+    for end in range(len(line) - 1, 0, -1):
+        for j in range(end):
+            if line[j] > line[j + 1]:
+                line[j], line[j + 1] = line[j + 1], line[j]
+                swaps.append({members[j]: members[j + 1], members[j + 1]: members[j]})
+    # line ∘ τ_1 ∘ … ∘ τ_m is the identity, so the permutation is τ_m ∘ … ∘ τ_1
+    automaton = {a: a for a in members}
+    moved = {loc: loc for loc in net.locations}
+    for swap in swaps:
+        step = net.permutation(swap)
+        automaton = {a: swap.get(b, b) for a, b in automaton.items()}
+        moved = {loc: step.get(m, m) for loc, m in moved.items()}
+    assert automaton == perm
+    return moved
+
+
+def test_every_permutation_of_a_run_is_the_product_of_its_swaps():
+    """A canonical form moves locations by ``Network.permutation`` of the
+    whole sort permutation, while the target's orbit is closed under the
+    swaps of neighbours: the two must agree on every location."""
+    orbits = []
+    for n in (3, 4, 5, 6):
+        net, mutex = fischer(n)
+        orbits += [(net, orbit) for query in (mutex, one_in_cs_query(n, net)) for orbit in _group(net, query)]
+    fischer_orbits = len(orbits)
+    rng = random.Random(16)  # the networks of test_random_symmetric_networks_keep_their_verdicts
+    for _ in range(150):
+        k = rng.randint(2, 3)
+        net = symmetric_network(rng, k)
+        orbits += [(net, orbit) for orbit in _group(net, symmetric_query(rng, net, k))]
+    checked = 0
+    for net, orbit in orbits:
+        for images in itertools.permutations(orbit.members):
+            perm = dict(zip(orbit.members, images))
+            whole = net.permutation(perm)
+            assert whole is not None
+            assert {loc: whole.get(loc, loc) for loc in net.locations} == _swap_product(net, orbit, perm)
+            checked += 1
+    assert fischer_orbits == 8 and len(orbits) > 120 and checked > 2000
