@@ -91,6 +91,12 @@ class ClockConstraint:
         constants are typed, and each is checked on its own."""
         return {}
 
+    @cached_property
+    def _formulas(self) -> dict:
+        """Clock tuple -> this constraint as a ``formula.Formula``, filled
+        in by ``formula`` on first use and kept like ``_dbm_edges``."""
+        return {}
+
 
 TRUE = ClockConstraint()
 

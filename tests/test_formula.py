@@ -4,7 +4,10 @@ cross-checks against the matrix backend (the two share no zone code).
 """
 
 import ast
+import itertools
+import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -170,8 +173,6 @@ def test_scope_and_constant_errors():
     ghost = ClockId("ghost", 9)
     with pytest.raises(ValueError):
         Formula.from_constraint(ClockConstraint((Atom(ghost, None, "<", 1),)), CL)
-    from fractions import Fraction
-
     with pytest.raises(ValueError):
         Formula.from_constraint(ClockConstraint((Atom(X, None, "<", Fraction(1, 2)),)), CL)
     with pytest.raises(ValueError):
@@ -193,6 +194,42 @@ def test_includes_and_equiv_mirror_set_semantics():
     # the cellwise method the search uses agrees
     assert a.includes(b) and not b.includes(a)
     assert b.includes(empty1) and not empty1.includes(b)
+
+
+def test_includes_refuses_zones_over_different_clock_lists():
+    """Cells are read by position, so ``x <= 1`` over (x, y) says nothing
+    about ``y <= 1`` over (y, x); both backends refuse the comparison."""
+    first = ClockConstraint((Atom(X, None, "<=", 1),))
+    second = ClockConstraint((Atom(Y, None, "<=", 1),))
+    for zone_type in (Formula, Dbm):
+        zone = zone_type.from_constraint(first, (X, Y))
+        with pytest.raises(ValueError, match="zones over different clock lists"):
+            zone.includes(zone_type.from_constraint(second, (Y, X)))
+        assert zone.includes(zone_type.from_constraint(first, [X, Y]))  # an equal list
+
+
+def test_one_constraint_converts_per_clock_tuple(monkeypatch):
+    calls = []
+    convert = Formula.from_constraint.__func__
+
+    def counted(cls, c, clocks):
+        calls.append(tuple(clocks))
+        return convert(cls, c, clocks)
+
+    xy, yx = formula(), Formula.from_constraint(ClockConstraint(), (Y, X))
+    monkeypatch.setattr(Formula, "from_constraint", classmethod(counted))
+    c = ClockConstraint((Atom(X, None, "<=", 3), Atom(X, Y, "<", 1)))
+    for _ in range(2):  # converted, then read back from the memo
+        assert fm_entails(xy.constrain(c), LinearAtom(X, Y, bound(1, True)))
+        assert fm_entails(yx.constrain(c), LinearAtom(X, Y, bound(1, True)))
+    assert calls == [CL, (Y, X)] and set(c._formulas) == {CL, (Y, X)}
+    # an equal constraint with a Fraction constant is refused, every time
+    fraction = ClockConstraint((Atom(X, None, "<", Fraction(2)),))
+    xy.constrain(ClockConstraint((Atom(X, None, "<", 2),)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-integer constant"):
+            xy.constrain(fraction)
+    assert fraction._formulas == {}
 
 
 def test_includes_agrees_with_the_matrix_backend():
@@ -218,15 +255,70 @@ def test_includes_agrees_with_the_matrix_backend():
 
 def test_closed_cells_match_the_matrix_backend():
     """The tightest-bounds form of a formula is exactly the canonical
-    matrix of the same constraint: the visited-set signatures of the
-    two backends coincide."""
+    matrix of the same zone, from 0 to 6 clocks and after every zone
+    operation: the visited-set signatures of the two backends coincide.
+    Emptiness comes from eliminating every clock, not from the pair
+    projections: in the negative cycle each pair of atoms is satisfiable."""
+    x, y, z = make_clocks(3)
+    cycle = ClockConstraint((Atom(x, y, "<", 0), Atom(y, z, "<", 0), Atom(z, x, "<", 0)))
+    for pair in itertools.combinations(cycle.atoms, 2):
+        assert not Formula.from_constraint(ClockConstraint(pair), (x, y, z)).is_empty()
     rng = random.Random(43)
+    cases = [((x, y, z), cycle)]
+    for _ in range(500):
+        clocks = make_clocks(rng.randint(0, 6))
+        cases.append((clocks, random_constraint(rng, clocks) if clocks else ClockConstraint()))
+    empty = 0
+    for clocks, c in cases:
+        f, d = Formula.from_constraint(c, clocks), Dbm.from_constraint(c, clocks)
+        for _ in range(rng.randint(0, 3) if clocks else 0):
+            op, picks = rng.randrange(4), rng.sample(clocks, rng.randint(1, len(clocks)))
+            if op == 0:
+                f, d = f.elapse(), d.elapse()
+            elif op == 1:
+                f, d = f.reset(picks), d.reset(picks)
+            elif op == 2:
+                f, d = f.free(picks), d.free(picks)
+            else:
+                lower, upper = ({k: rng.randint(0, 10) for k in clocks} for _ in range(2))
+                f, d = f.extrapolate_lu(lower, upper), d.extrapolate_lu(lower, upper)
+        assert f.closed_cells == d.cells
+        assert (f.closed_cells is None) == f.is_empty() == d.is_empty()
+        empty += d.is_empty()
+    assert Formula.from_constraint(cycle, (x, y, z)).closed_cells is None
+    assert 50 < empty < 400
+
+
+def test_closure_projects_once_per_clock_pair(monkeypatch):
+    """One closure of an n-clock formula runs at most C(n,2)(n-2) + n + 1
+    elimination steps (n below two clocks), and exactly that many when
+    the formula is not empty: n-2 per pair projection, one from a pair
+    to each clock alone, and one to decide emptiness."""
+    steps = []
+    eliminate = formula_module._eliminate
+
+    def counted(atoms, var):
+        steps.append(var)
+        return eliminate(atoms, var)
+
+    rng = random.Random(67)
+    reached = 0
     for _ in range(300):
-        clocks = make_clocks(rng.randint(1, 4))
-        c = random_constraint(rng, clocks)
-        f = Formula.from_constraint(c, clocks)
-        z = Dbm.from_constraint(c, clocks)
-        assert f.closed_cells == z.cells
+        n = rng.randint(0, 6)
+        clocks = make_clocks(n)
+        f = Formula.from_constraint(random_constraint(rng, clocks) if n else ClockConstraint(), clocks)
+        if n and rng.random() < 0.5:
+            f = f.elapse()
+        with monkeypatch.context() as patch:
+            patch.setattr(formula_module, "_eliminate", counted)
+            steps.clear()
+            empty = f.closed_cells is None
+        cap = math.comb(n, 2) * (n - 2) + n + 1 if n > 1 else n
+        assert len(steps) <= cap
+        if not empty:
+            assert len(steps) == cap
+            reached += n == 4
+    assert reached > 10
 
 
 def test_pipeline_cross_check_against_matrices():
@@ -327,4 +419,4 @@ def test_the_two_backends_import_nothing_from_each_other():
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)
     assert "atoms" in names  # the walk sees the oracle's own atom handling
-    assert "_dbm_edges" not in names
+    assert not {"_dbm_edges", "_close", "_tighten"} & names
