@@ -39,28 +39,21 @@ exact run reaches (Bouyer, FMSD 2004), so its True stands only once
 otherwise the search answers Inconclusive.  ``SearchOptions(
 extrapolate=False)`` uses neither abstraction.
 
-What follows from the network, a location vector and the goal
-constraint lives on the ``Network``, built the first time any search
-reaches the vector: its merged moves (``Network.moves``), and per goal
-constraint one ``Network.entry`` with its invariant, the clocks freed
-on entering it and the L and U bounds, read off ``Network.lu_bounds``
-with the goal's atoms bounding L and U like one more guard.  A
+What follows from the network lives on the ``Network``, built the
+first time any search needs it: per location vector its merged moves
+(``Network.moves``), and per goal constraint one ``Network.entry`` with
+its invariant, the clocks freed on entering it and the L and U bounds,
+read off ``Network.lu_bounds`` with the goal's atoms bounding L and U
+like one more guard; and the symmetry tables (``symmetry``).  A
 ``Search`` holds what one query adds: the zone type, the abstraction
-(``k`` or LU), the twins and the target's orbit, the visited set and
-the counters.  ``root_state`` and ``successors`` take it, and
-``explore`` and ``replay_witness`` build it alike, so they walk the
-same successor relation over the same ``Network.entry`` tables.
-
-Symmetry (Ip & Dill, FMSD 1996; Hendriks et al., FORMATS 2003):
-``Search.insert`` stores a state with the twins the source treats alike
-(``_stabilizer``) in a canonical order, or with those the target treats
-alike when that group is larger (``_group``).  The worklist keeps the
-actual state.  Since a pruned state stands for any permutation of itself,
-a state is a goal when it meets some image σ(target) of the target under
-the group (``_goals``); σ fixes the source, so σ⁻¹ of the witness is a
-run to the target itself (``_unpermuted``), and the goal constraints of
-the whole orbit count as read when clocks are freed and L and U are
-bounded.  The formula backend, an independent oracle, is not reduced.
+(``k`` or LU), the twins it canonicalises under and the target's orbit,
+the visited set and the counters.  ``root_state`` and ``successors``
+take it, and ``explore`` and ``replay_witness`` build it alike, so they
+walk the same successor relation over the same tables.  The DBM
+visited set stores states in a canonical order of their twins, and a
+state is a goal when it meets one image σ(target) of the target
+(``symmetry``); the formula backend, an independent oracle, is not
+reduced.
 
 The search is a plain worklist (LIFO or FIFO).  Every new state, the
 source state included, is goal-tested before the visited check, so a
@@ -83,15 +76,8 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .dbm import Dbm
 from .formula import Formula
-from .model import (
-    ClockConstraint,
-    LabelId,
-    LocationVector,
-    Network,
-    Query,
-    StatePattern,
-    max_constants,
-)
+from .model import LabelId, LocationVector, Network, Query, StatePattern, max_constants
+from .symmetry import _goals, _group, _unpermuted
 
 # Both zone types offer the same surface: ``from_constraint(c, clocks)``,
 # ``constrain`` (intersection with a constraint), ``reset``, ``free``,
@@ -166,13 +152,15 @@ class ExploreResult:
 class Search:
     """One query's search: what it derives from ``(net, query, options)``,
     the states it stores and its counters.  On the DBM backend ``orbits``
-    are the twins it canonicalises under (see ``_group``); the formula
-    backend keeps none.  ``goals`` maps each location vector of the
-    target's orbit to its images σ(target) with their σ (see ``_goals``);
-    ``reads`` is the conjunction of their constraints, the target's own
-    one when there are no twins.  What a zone meets on entering a vector
-    (invariant, freed clocks, L and U) is one ``Network.entry`` per
-    vector and ``reads``, which the network keeps for every search.
+    are the twins it canonicalises under (``symmetry._group``); the
+    formula backend keeps none.  ``goals`` maps each location vector of
+    the target's orbit to its images σ(target) with their σ
+    (``symmetry._goals``); ``reads`` is the conjunction of their
+    constraints, the target's own one when there are no twins.  Both are
+    the network's tables, built by its first search and shared by every
+    later one, as is the ``Network.entry`` of each vector and ``reads``:
+    what a zone meets on entering the vector (invariant, freed clocks, L
+    and U).
 
     Without diagonal atoms in the network's guards and invariants or in
     the target, stored zones stay exact and ``lu`` is set: the entry's
@@ -281,137 +269,6 @@ def is_goal(state: StateZone, target: StatePattern) -> bool:
     if state.locations != target.locations:
         return False
     return not state.zone.constrain(target.constraint).is_empty()
-
-
-def _image(net: Network, twins: dict, perm: dict[int, int], pattern: StatePattern) -> StatePattern:
-    """The pattern with twins permuted (automaton -> automaton): each twin's
-    location and clocks go to its image, and the locations of the automata
-    reading their labels move by ``Network.permutation``, which must exist."""
-    moved = net.permutation(perm)
-    vector = list(pattern.locations)
-    for a, b in perm.items():
-        vector[b] = pattern.locations[a]
-    rename = {c: d for a, b in perm.items() for c, d in zip(twins[a], twins[b])}
-    atoms = tuple(atom._replace(lhs=rename.get(atom.lhs, atom.lhs), rhs=rename.get(atom.rhs, atom.rhs))
-                  for atom in pattern.constraint.atoms)
-    return StatePattern(tuple(moved.get(loc, loc) for loc in vector), ClockConstraint(atoms))
-
-
-def _fixes(net: Network, twins: dict, perm: dict[int, int], pattern: StatePattern) -> bool:
-    """Does permuting twins (``Network.permutation``) map the pattern onto itself?"""
-    if net.permutation(perm) is None:
-        return False
-    image = _image(net, twins, perm, pattern)
-    same = set(image.constraint.atoms) == set(pattern.constraint.atoms)
-    return same and image.locations == pattern.locations
-
-
-def _stabilizer(net: Network, pattern: StatePattern) -> tuple[_Orbit, ...]:
-    """Per class of ``Network.symmetry``, the runs of twins that the pattern
-    treats alike: a twin joins the first run whose last twin it swaps
-    with (``_fixes``).  Every permutation of a run fixes the pattern."""
-    orbits = []
-    for twins in net.symmetry:
-        runs: list[list[int]] = []
-        for b in twins:
-            run = next((run for run in runs if _fixes(net, twins, {run[-1]: b, b: run[-1]}, pattern)), None)
-            runs.append([b]) if run is None else run.append(b)
-        orbits += [_Orbit(net, twins, run, pattern) for run in runs if len(run) > 1]
-    return tuple(orbits)
-
-
-def _group(net: Network, query: Query) -> tuple[_Orbit, ...]:
-    """The twins a search canonicalises under: the source's stabilizer,
-    or the target's when that has more permutations (the target's orbit
-    is then the target alone)."""
-    source, target = _stabilizer(net, query.source), _stabilizer(net, query.target)
-    return target if target and _order(source) < _order(target) else source
-
-
-def _order(orbits: tuple[_Orbit, ...]) -> int:
-    return math.prod(math.factorial(len(orbit.members)) for orbit in orbits)
-
-
-def _goals(net: Network, orbits: tuple[_Orbit, ...], target: StatePattern) -> tuple[dict, ClockConstraint]:
-    """The target's orbit under the group the orbits generate, found by
-    closing it under their swaps of neighbours: per location vector, each
-    image σ(target) paired with σ, the tuple of each automaton's image;
-    and the conjunction of the images' constraints, which is the target's
-    own constraint when no image adds an atom."""
-    identity = tuple(range(len(net.automata)))
-    table = {target.locations: [(target, identity)]}
-    images = [(target, identity)]
-    reads = target.constraint
-    for pattern, sigma in images:  # grows while it is walked
-        for orbit in orbits:
-            for a, b in zip(orbit.members, orbit.members[1:]):
-                swap = {a: b, b: a}
-                image = _image(net, orbit.twins, swap, pattern)
-                found = table.setdefault(image.locations, [])
-                atoms = set(image.constraint.atoms)
-                if all(atoms != set(other.constraint.atoms) for other, _ in found):
-                    found.append((image, tuple(swap.get(i, i) for i in sigma)))
-                    images.append(found[-1])
-                    if not atoms <= set(reads.atoms):
-                        reads = ClockConstraint(tuple(dict.fromkeys(reads.atoms + image.constraint.atoms)))
-    return table, reads
-
-
-def _unpermuted(net: Network, sigma: tuple[int, ...], witness: tuple[LabelId, ...]) -> tuple[LabelId, ...]:
-    """A witness of σ(target) mapped back to the target: each label of
-    twin σ(a) becomes twin a's label at the same position."""
-    back: dict[LabelId, LabelId] = {}
-    for a, b in enumerate(sigma):
-        if a != b:
-            back |= zip(net.automata[b].alphabet, net.automata[a].alphabet)
-    return tuple(back.get(label, label) for label in witness)
-
-
-class _Orbit:
-    """A run of twins that a pattern (the source or the target) treats
-    alike.  The canonical form of a state sorts them by a key that
-    permuting them carries along: the position of the twin's location in
-    its automaton, and per clock its bounds against 0 and its sorted row
-    and column.  Ties only leave states apart."""
-
-    def __init__(self, net: Network, twins: dict, members: list[int], pattern: StatePattern):
-        self.net, self.twins, self.pattern = net, twins, pattern
-        self.members, self.identity = members, tuple(range(len(members)))
-        self.position = {loc: r for a in members for r, loc in enumerate(net.automata[a].locations)}
-        self.cells = [[net.clocks.index(c) + 1 for c in twins[a]] for a in members]
-        self.orders: dict[tuple[int, ...], Optional[tuple]] = {}
-
-    def _key(self, k: int, vector: LocationVector, cells: tuple[int, ...], size: int) -> list:
-        key = [self.position[vector[self.members[k]]]]
-        for x in self.cells[k]:
-            row = cells[x * size:(x + 1) * size]
-            key += [cells[x], row[0], sorted(row), sorted(cells[x::size])]
-        return key
-
-    def canonical(self, vector: LocationVector, zone: Dbm) -> tuple[LocationVector, Dbm]:
-        size = len(zone.clocks) + 1
-        keys = [self._key(k, vector, zone.cells, size) for k in self.identity]
-        order = tuple(sorted(self.identity, key=keys.__getitem__))
-        if order != self.identity and order not in self.orders:
-            self.orders[order] = self._permutation(order, size)
-        if self.orders.get(order) is None:
-            return vector, zone
-        moved, slots, index = self.orders[order]
-        return tuple([moved.get(vector[i], vector[i]) for i in slots]), zone.permute(index)
-
-    def _permutation(self, order: tuple[int, ...], size: int) -> Optional[tuple]:
-        """Twin q taking twin ``order[q]``'s state: the locations moved, the
-        slot each vector slot reads, and ``Dbm.permute``'s index list."""
-        perm = {self.members[p]: self.members[q] for q, p in enumerate(order)}
-        if not _fixes(self.net, self.twins, perm, self.pattern):
-            return None
-        slots, source = list(range(len(self.net.automata))), list(range(size))
-        for q, p in enumerate(order):
-            slots[self.members[q]] = self.members[p]
-            for new, old in zip(self.cells[q], self.cells[p]):
-                source[new] = old
-        index = [source[i] * size + source[j] for i in range(size) for j in range(size)]
-        return self.net.permutation(perm), slots, index
 
 
 @dataclass

@@ -10,15 +10,17 @@ integers by ``normalize_constants``).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm
-from typing import Iterator, Mapping, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .bounds import MAX_CONSTANT
+
+if TYPE_CHECKING:
+    from .symmetry import Tables
 
 
 class ClockId(NamedTuple):
@@ -161,47 +163,24 @@ class Network:
         no information."""
         return tuple(_lu_bounds(aut) for aut in self.automata)
 
+    # Process symmetry: ``symmetry`` builds on this module, and the network
+    # keeps what it builds, like the tables below.
+
     @cached_property
     def symmetry(self) -> tuple[dict[int, tuple[ClockId, ...]], ...]:
-        """The classes of interchangeable automata (twins), built on first
-        use, each mapping its twins to their clocks in ``_signature`` order:
-        equal ``_signature``s, no shared label, no clock another automaton
-        reads, and a ``permutation`` for each swap of neighbours (these
-        generate them all).  Leaving twins apart is always sound."""
-        signatures = [_signature(aut) for aut in self.automata]
-        readers = Counter(clock for _, clocks in signatures for clock in clocks)
-        classes: dict[tuple, list[int]] = {}
-        for i, (signature, clocks) in enumerate(signatures):
-            if all(readers[clock] == 1 for clock in clocks):
-                classes.setdefault(signature, []).append(i)
-        found = []
-        for members in classes.values():
-            labels = [label for i in members for label in self.automata[i].alphabet]
-            if len(members) > 1 and len(set(labels)) == len(labels) and all(
-                self.permutation({a: b, b: a}) is not None for a, b in zip(members, members[1:])
-            ):
-                found.append({i: signatures[i][1] for i in members})
-        return tuple(found)
+        """The classes of twins, each mapping its twins to their clocks."""
+        from .symmetry import twin_classes
+        return twin_classes(self)
 
-    def permutation(self, twins: dict[int, int]) -> Optional[dict[LocationId, LocationId]]:
-        """The locations moved by permuting twins (automaton -> automaton):
-        the twins' by position, those of each automaton reading their labels
-        by ``_relabelled`` (Fischer's lock: ``id_i -> id_j``); or None.
-        Kept per permutation, like the tables below."""
-        key = tuple(sorted(twins.items()))
-        if key in self._permutations:
-            return self._permutations[key]
-        moved: Optional[dict[LocationId, LocationId]] = {}
-        rename: dict[LabelId, LabelId] = {}
-        for a, b in twins.items():
-            moved |= zip(self.automata[a].locations, self.automata[b].locations)
-            rename |= zip(self.automata[a].alphabet, self.automata[b].alphabet)
-        for i, aut in enumerate(self.automata):
-            if moved is not None and i not in twins and not rename.keys().isdisjoint(aut.alphabet):
-                sigma = _relabelled(aut, rename)
-                moved = None if sigma is None else moved | sigma
-        self._permutations[key] = moved
-        return moved
+    def permutation(self, twins: dict[int, int]) -> dict[LocationId, LocationId]:
+        """The locations moved by permuting twins of one class."""
+        from .symmetry import permutation
+        return permutation(self, twins)
+
+    @cached_property
+    def _symmetry(self) -> Tables:
+        from .symmetry import Tables
+        return Tables()
 
     @cached_property
     def has_diagonal(self) -> bool:
@@ -220,10 +199,6 @@ class Network:
 
     @cached_property
     def _entries(self) -> dict[tuple[LocationVector, ClockConstraint], Entry]:
-        return {}
-
-    @cached_property
-    def _permutations(self) -> dict[tuple, Optional[dict[LocationId, LocationId]]]:
         return {}
 
     def moves(self, vector: LocationVector) -> tuple[Move, ...]:
@@ -274,47 +249,6 @@ class Entry(NamedTuple):
     freed: tuple[ClockId, ...]
     lower: dict[ClockId, int]
     upper: dict[ClockId, int]
-
-
-def _signature(aut: Automaton) -> tuple[tuple, tuple[ClockId, ...]]:
-    """The automaton with its locations, labels and clocks replaced by their
-    positions (clocks in first-use order), and those clocks."""
-    location = {loc: i for i, loc in enumerate(aut.locations)}
-    label = {lab: i for i, lab in enumerate(aut.alphabet)}
-    clock: dict[ClockId, int] = {}
-
-    def at(c: Optional[ClockId]) -> Optional[int]:
-        return None if c is None else clock.setdefault(c, len(clock))
-
-    def atoms(c: ClockConstraint) -> tuple:
-        return tuple((at(a.lhs), at(a.rhs), a.op, a.const) for a in c.atoms)
-
-    invariants = tuple(atoms(aut.invariants[loc]) for loc in aut.locations)
-    moves = tuple((location[t.source], label.get(t.label), atoms(t.guard), tuple(map(at, t.resets)),
-                   location[t.target]) for t in aut.transitions)
-    return (len(aut.alphabet), invariants, moves), tuple(clock)
-
-
-def _relabelled(aut: Automaton, rename: dict[LabelId, LabelId]) -> Optional[dict[LocationId, LocationId]]:
-    """A bijection of the locations that, with the labels renamed, gives back
-    the automaton, or None: each location goes to itself, else to the first
-    free one with its invariant and its moves in and out once renamed; the
-    transitions are then compared as sets."""
-    if {rename.get(lab, lab) for lab in aut.alphabet} != set(aut.alphabet):
-        return None
-    given = [(t.source, t.label, t.guard, t.resets, t.target) for t in aut.transitions]
-    moves = [(source, rename.get(lab, lab), *rest) for source, lab, *rest in given]
-    plain, renamed = ({loc: Counter((m[0] == loc, *m[1:4]) for m in ms if loc in (m[0], m[4]))
-                       for loc in aut.locations} for ms in (given, moves))
-    sigma: dict[LocationId, LocationId] = {}
-    for loc in aut.locations:
-        fits = [m for m in aut.locations if m not in sigma.values()
-                and renamed[loc] == plain[m] and aut.invariants[loc] == aut.invariants[m]]
-        if not fits:
-            return None
-        sigma[loc] = loc if loc in fits else fits[0]
-    image = {(sigma[source], *rest, sigma[target]) for source, *rest, target in moves}
-    return sigma if image == set(given) else None
 
 
 # One merged joint move: label, guard, resets, target vector.

@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 import gen
+from conftest import QUERIES_PATH
 from test_explorer import ALL_CONFIGS, FAITHFUL
 from zonereach import parse_query, parse_spec
 from zonereach.dbm import Dbm
@@ -25,9 +26,6 @@ from zonereach.explorer import (
     SearchOptions,
     StateZone,
     Verdict,
-    _goals,
-    _group,
-    _stabilizer,
     explore,
     is_goal,
     replay_witness,
@@ -49,7 +47,10 @@ from zonereach.model import (
     normalize_constants,
     validate,
 )
+from zonereach import symmetry
 from zonereach.simulate import find_concrete_run
+from zonereach.symmetry import _goals, _group, _stabilizer
+from test_formula import _imported_modules
 
 EXACT = SearchOptions(extrapolate=False)
 CAPPED = [dataclasses.replace(o, max_zones=2000) for o in ALL_CONFIGS + [FAITHFUL] if o.backend == "dbm"]
@@ -415,3 +416,60 @@ def test_every_permutation_of_a_run_is_the_product_of_its_swaps():
             assert {loc: whole.get(loc, loc) for loc in net.locations} == _swap_product(net, orbit, perm)
             checked += 1
     assert fischer_orbits == 8 and len(orbits) > 120 and checked > 2000
+
+
+# -- per-network tables -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, stored", [(8, 172), (9, 228), (10, 295)])
+def test_fischer_counts_at_scale(n, stored):
+    net, query = fischer(n)
+    for order in ("bfs", "dfs"):
+        result = explore(net, query, SearchOptions(order=order))
+        assert result.verdict is Verdict.UNREACHABLE and result.stats.stored == stored
+    if n == 8:
+        net = parse_spec(gen.fischer_spec(n, 2, wait=1))
+        query = parse_query(gen.fischer_mutex_query(n), net)
+        result = explore(net, query)
+        assert result.verdict is Verdict.REACHABLE
+        assert replay_witness(net, query, result.witness, EXACT)
+
+
+def test_a_second_search_builds_no_symmetry_table(monkeypatch, train_net):
+    # _relabelled searches a swap's bijections, _image maps a pattern for
+    # the stabilizer and the target's orbit
+    calls = {"_relabelled": 0, "_image": 0}
+
+    def counted(name):
+        original = getattr(symmetry, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(symmetry, name, counted(name))
+    net, query = fischer(6)
+    assert explore(net, query, SearchOptions(order="bfs")).stats.stored == 89
+    generators = sum(len(orbit.members) - 1 for orbit in _group(net, query))
+    assert 0 < calls["_relabelled"] <= generators and calls["_image"] > 0
+    calls.update(dict.fromkeys(calls, 0))
+    assert explore(net, query, SearchOptions(order="dfs")).stats.stored == 89
+    assert calls == {"_relabelled": 0, "_image": 0}
+    # without twins the network keeps no table, also when a class of
+    # look-alikes fails on a swap (no swap of 1 and 2 maps the lock onto itself)
+    stuck = parse_spec(gen.fischer_spec(4, 2).replace("      id1 , enter1 : true , nil , id1 .\n", ""))
+    for net, text in ((train_net, QUERIES_PATH.read_text().splitlines()[1]),
+                      (stuck, gen.fischer_mutex_query(4))):
+        explore(net, parse_query(text, net))
+        assert net.symmetry == () and "_symmetry" not in vars(net)
+
+
+def test_symmetry_imports_no_zone_module():
+    """Locations and clocks are mapped without zone code: a zone is read
+    only through its ``cells`` and ``permute``."""
+    imported = _imported_modules(symmetry)
+    assert "zonereach.model" in imported
+    assert not {"zonereach.dbm", "zonereach.formula", "zonereach.explorer"} & imported
