@@ -11,13 +11,20 @@ equality of the cell tuple coincides with equality of the zones, the
 most-constrained form is unique, and inclusion is a cellwise check.
 The empty zone is a distinguished marker (``cells is None``) rather
 than some arbitrary inconsistent matrix.
+
+A transition of the search is one rewrite of the matrix: ``Dbm.program``
+compiles a move once (guard edges, reset indices, the target's
+invariant edges and the clocks freed there) and ``Dbm.step`` applies it
+in one pass over one mutable grid, the same cells as ``constrain``,
+``reset``, ``constrain``, ``elapse``, ``constrain`` and ``free`` one
+after the other.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .bounds import INF, ZERO_LE, bound, is_strict, value
 from .model import Atom, ClockConstraint, ClockId
@@ -80,6 +87,77 @@ def _tighten(grid: list[int], size: int, a: int, b: int, raw: int) -> bool:
     return True
 
 
+def _reset(grid: list[int], size: int, indices: Sequence[int]) -> None:
+    """Set the clocks at the indices to zero in a closed grid, in place;
+    it stays closed (see ``Dbm.reset``)."""
+    for r in indices:
+        for j in range(size):
+            grid[r * size + j] = grid[j]          # row 0 entry (0 - xj)
+            grid[j * size + r] = grid[j * size]   # column 0 entry (xj - 0)
+        grid[r * size + r] = ZERO_LE
+
+
+def _free(grid: list[int], size: int, indices: Sequence[int]) -> None:
+    """Forget the clocks at the indices in a closed grid, in place; it
+    stays closed (see ``Dbm.free``)."""
+    for x in indices:
+        for j in range(size):
+            grid[x * size + j] = INF              # no upper bound on x - xj
+            grid[j * size + x] = grid[j * size]   # xj - x bounded as xj - 0
+        grid[x * size + x] = ZERO_LE
+
+
+def _index(clocks: tuple[ClockId, ...], clock: ClockId) -> int:
+    try:
+        return clocks.index(clock) + 1
+    except ValueError:
+        raise ValueError(f"unknown clock {clock.name!r}") from None
+
+
+def _edges(c: ClockConstraint, clocks: tuple[ClockId, ...]) -> tuple[tuple[int, int, int], ...]:
+    """The constraint as matrix edges ``(i, j, raw)``: xi - xj bounded by
+    ``raw``, one edge per atom and two for ``=``.  Compiled once per
+    constraint object and clock tuple and kept on the constraint; one
+    that fails a check is not kept, so it raises on every call."""
+    memo = c._dbm_edges
+    found = memo.get(clocks)
+    if found is not None:
+        return found
+    edges = []
+    for atom in c.atoms:
+        if not isinstance(atom.const, int):
+            raise ValueError(f"non-integer constant {atom.const!r}; scale the network first")
+        i = _index(clocks, atom.lhs)
+        j = _index(clocks, atom.rhs) if atom.rhs is not None else 0
+        n = atom.const
+        if atom.op == "<":
+            edges.append((i, j, bound(n, strict=True)))
+        elif atom.op == "<=":
+            edges.append((i, j, bound(n, strict=False)))
+        elif atom.op == ">":
+            edges.append((j, i, bound(-n, strict=True)))
+        elif atom.op == ">=":
+            edges.append((j, i, bound(-n, strict=False)))
+        elif atom.op == "=":
+            edges.append((i, j, bound(n, strict=False)))
+            edges.append((j, i, bound(-n, strict=False)))
+        else:
+            raise ValueError(f"unknown operator {atom.op!r}")
+    found = memo[clocks] = tuple(edges)
+    return found
+
+
+class Program(NamedTuple):
+    """One move compiled for ``Dbm.step``: edges ``(i, j, raw)`` and
+    clock indices of one clock tuple."""
+
+    guard: tuple[tuple[int, int, int], ...]
+    resets: tuple[int, ...]
+    invariant: tuple[tuple[int, int, int], ...]
+    upper: tuple[tuple[int, int, int], ...]  # the invariant's edges (i, 0, raw)
+    freed: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class Dbm:
     clocks: tuple[ClockId, ...]
@@ -111,12 +189,6 @@ class Dbm:
         """Hashable and canonical: equal keys mean equal zones."""
         return self.cells
 
-    def _index(self, clock: ClockId) -> int:
-        try:
-            return self.clocks.index(clock) + 1
-        except ValueError:
-            raise ValueError(f"unknown clock {clock.name!r}") from None
-
     def _closed(self, grid: list[int]) -> "Dbm":
         """The zone an edited copy of this zone's cells describes: this
         zone itself when no cell changed (it is canonical already), else
@@ -141,38 +213,6 @@ class Dbm:
             return Dbm(self.clocks, None)
         return self._closed([min(a, b) for a, b in zip(self.cells, other.cells)])
 
-    def _edges(self, c: ClockConstraint) -> tuple[tuple[int, int, int], ...]:
-        """The constraint as matrix edges ``(i, j, raw)``: xi - xj bounded
-        by ``raw``, one edge per atom and two for ``=``.  Compiled once per
-        constraint object and clock tuple and kept on the constraint; one
-        that fails a check is not kept, so it raises on every call."""
-        memo = c._dbm_edges
-        found = memo.get(self.clocks)
-        if found is not None:
-            return found
-        edges = []
-        for atom in c.atoms:
-            if not isinstance(atom.const, int):
-                raise ValueError(f"non-integer constant {atom.const!r}; scale the network first")
-            i = self._index(atom.lhs)
-            j = self._index(atom.rhs) if atom.rhs is not None else 0
-            n = atom.const
-            if atom.op == "<":
-                edges.append((i, j, bound(n, strict=True)))
-            elif atom.op == "<=":
-                edges.append((i, j, bound(n, strict=False)))
-            elif atom.op == ">":
-                edges.append((j, i, bound(-n, strict=True)))
-            elif atom.op == ">=":
-                edges.append((j, i, bound(-n, strict=False)))
-            elif atom.op == "=":
-                edges.append((i, j, bound(n, strict=False)))
-                edges.append((j, i, bound(-n, strict=False)))
-            else:
-                raise ValueError(f"unknown operator {atom.op!r}")
-        found = memo[self.clocks] = tuple(edges)
-        return found
-
     def constrain(self, c: ClockConstraint) -> "Dbm":
         """Intersect with a constraint: per edge that tightens a cell, an
         O(1) emptiness test and one O(n²) pass (``_tighten``), nothing for
@@ -182,7 +222,7 @@ class Dbm:
             return self
         size = len(self.clocks) + 1
         grid = self.cells
-        for a, b, raw in self._edges(c):
+        for a, b, raw in _edges(c, self.clocks):
             if raw < grid[a * size + b]:
                 if grid is self.cells:
                     grid = list(grid)
@@ -201,14 +241,8 @@ class Dbm:
         closed matrix stays closed, so the cost is O(n) per clock."""
         if self.cells is None:
             return self
-        size = len(self.clocks) + 1
         grid = list(self.cells)
-        for clock in resets:
-            r = self._index(clock)
-            for j in range(size):
-                grid[r * size + j] = grid[j]          # row 0 entry (0 - xj)
-                grid[j * size + r] = grid[j * size]   # column 0 entry (xj - 0)
-            grid[r * size + r] = ZERO_LE
+        _reset(grid, len(self.clocks) + 1, [_index(self.clocks, clock) for clock in resets])
         return Dbm(self.clocks, tuple(grid))
 
     def free(self, clocks: Sequence[ClockId]) -> "Dbm":
@@ -219,14 +253,8 @@ class Dbm:
         clock, nothing when there is none."""
         if self.cells is None or not clocks:
             return self
-        size = len(self.clocks) + 1
         grid = list(self.cells)
-        for clock in clocks:
-            x = self._index(clock)
-            for j in range(size):
-                grid[x * size + j] = INF              # no upper bound on x - xj
-                grid[j * size + x] = grid[j * size]   # xj - x bounded as xj - 0
-            grid[x * size + x] = ZERO_LE
+        _free(grid, len(self.clocks) + 1, [_index(self.clocks, clock) for clock in clocks])
         return Dbm(self.clocks, tuple(grid))
 
     def elapse(self) -> "Dbm":
@@ -241,6 +269,59 @@ class Dbm:
         grid = list(self.cells)
         for i in range(1, size):
             grid[i * size] = INF
+        return Dbm(self.clocks, tuple(grid))
+
+    # -- one move in one pass --------------------------------------------
+
+    @staticmethod
+    def program(
+        clocks: tuple[ClockId, ...],
+        guard: ClockConstraint,
+        resets: Sequence[ClockId],
+        invariant: ClockConstraint,
+        freed: Sequence[ClockId],
+    ) -> Program:
+        """A move compiled for ``step`` over the clock tuple: the guard, the
+        resets, the target's invariant and the clocks freed there."""
+        inv = _edges(invariant, clocks)
+        return Program(
+            _edges(guard, clocks),
+            tuple(_index(clocks, clock) for clock in resets),
+            inv,
+            tuple(edge for edge in inv if edge[1] == 0),
+            tuple(_index(clocks, clock) for clock in freed),
+        )
+
+    def step(self, p: Program) -> Optional["Dbm"]:
+        """The zone after the move: ``constrain(guard)``, ``reset``,
+        ``constrain(invariant)``, ``elapse``, ``constrain(invariant)`` and
+        ``free``, cell for cell, in place on one grid; None when the guard
+        or the invariant leaves nothing.
+
+        After the delay only the invariant's upper bounds (i, 0, raw) are
+        applied again.  That is exact: the delay changes column 0 alone
+        and keeps the grid closed, so every other cell still holds the
+        bound the first invariant pass left in it, at most the edge's.
+        Nor can the upper bounds empty the zone, since the zone before
+        the delay meets them."""
+        if self.cells is None:
+            return None
+        guard, resets, invariant, upper, freed = p
+        size = len(self.clocks) + 1
+        grid = list(self.cells)
+        for a, b, raw in guard:
+            if raw < grid[a * size + b] and not _tighten(grid, size, a, b, raw):
+                return None
+        _reset(grid, size, resets)
+        for a, b, raw in invariant:
+            if raw < grid[a * size + b] and not _tighten(grid, size, a, b, raw):
+                return None
+        for i in range(size, size * size, size):  # as in ``elapse``
+            grid[i] = INF
+        for a, _, raw in upper:
+            if raw < grid[a * size]:
+                _tighten(grid, size, a, 0, raw)
+        _free(grid, size, freed)
         return Dbm(self.clocks, tuple(grid))
 
     def includes(self, other: "Dbm") -> bool:

@@ -6,22 +6,25 @@ time pass within the current invariants; the goal test on a stored
 zone therefore already accounts for a trailing delay.  Successors are
 computed per label: the automata listing the label in their alphabet
 all move (every combination of their enabled transitions), the rest
-stay.  Per combination the zone is constrained by the guards and
-reset, and then enters the target vector.  Entering a vector is one
-step, ``Search.enter``, the same for the source zone and for every
-successor:
+stay.  Each combination is one move, compiled once into a program of
+the zone type (``program``) and applied in one call (``step``):
 
-    constrain by the invariants -> empty? -> elapse -> constrain by
-    the invariants -> free the inactive clocks
+    constrain by the guards -> empty? -> reset -> constrain by the
+    target's invariants -> empty? -> elapse -> constrain by the
+    invariants -> free the inactive clocks
 
 where the double invariant constraint is exact because invariants
-are convex.  A clock is inactive at a vector when it has no L/U
-entry at any of its locations (``Network.lu_bounds``: no automaton
-reads it before resetting it) and the goal constraint does not read
-it either; its value carries no information, so forgetting it is
-exact and merges zones that differ only there (Daws & Yovine, RTSS
-1996).  Guards, invariants and goal constraints are applied to the
-zone directly with ``constrain``; no zone is built for them.
+are convex.  The source zone enters its vector by the same step, with
+no guard and no resets.  ``Dbm.step`` runs it in place on one grid,
+and after the delay applies only the invariants' upper bounds again:
+the delay changes column 0 alone, so every other edge is already met.
+A clock is inactive at a vector when it has no L/U entry at any of
+its locations (``Network.lu_bounds``: no automaton reads it before
+resetting it) and the goal constraint does not read it either; its
+value carries no information, so forgetting it is exact and merges
+zones that differ only there (Daws & Yovine, RTSS 1996).  Guards,
+invariants and goal constraints are applied to the zone directly; no
+zone is built for them.
 
 Stored zones are therefore exact, and the abstraction that makes the
 search finite sits in the subsumption test only (Herbreteau,
@@ -44,12 +47,13 @@ first time any search needs it: per location vector its merged moves
 (``Network.moves``), and per goal constraint one ``Network.entry`` with
 its invariant, the clocks freed on entering it and the L and U bounds,
 read off ``Network.lu_bounds`` with the goal's atoms bounding L and U
-like one more guard; and the symmetry tables (``symmetry``).  A
-``Search`` holds what one query adds: the zone type, the abstraction
-(``k`` or LU), the twins it canonicalises under and the target's orbit,
-the visited set and the counters.  ``root_state`` and ``successors``
-take it, and ``explore`` and ``replay_witness`` build it alike, so they
-walk the same successor relation over the same tables.  The DBM
+like one more guard; per zone type and goal constraint the programs of
+the moves (``Network._programs``); and the symmetry tables
+(``symmetry``).  A ``Search`` holds what one query adds: the zone type,
+the abstraction (``k`` or LU), the twins it canonicalises under and the
+target's orbit, the visited set and the counters.  ``root_state`` and
+``successors`` take it, and ``explore`` and ``replay_witness`` build it
+alike, so they walk the same successor relation over the same tables.  The DBM
 visited set stores states in a canonical order of their twins, and a
 state is a goal when it meets one image σ(target) of the target
 (``symmetry``); the formula backend, an independent oracle, is not
@@ -76,13 +80,25 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .dbm import Dbm
 from .formula import Formula
-from .model import LabelId, LocationVector, Network, Query, StatePattern, max_constants
+from .model import (
+    TRUE,
+    ClockConstraint,
+    ClockId,
+    LabelId,
+    LocationVector,
+    Network,
+    Query,
+    StatePattern,
+    max_constants,
+)
 from .symmetry import _goals, _group, _unpermuted
 
 # Both zone types offer the same surface: ``from_constraint(c, clocks)``,
 # ``constrain`` (intersection with a constraint), ``reset``, ``free``,
 # ``elapse``, ``is_empty``, ``includes``, ``extrapolate`` (Extra_M),
-# ``extrapolate_lu`` (Extra⁺_LU) and a hashable canonical ``key``.
+# ``extrapolate_lu`` (Extra⁺_LU), a hashable canonical ``key``, and one
+# move in one call: ``program(clocks, guard, resets, invariant, freed)``
+# and ``step(program)``, None when the guard or the invariant empties.
 Zone = Union[Dbm, Formula]
 ZONE_TYPES: dict[str, type] = {"dbm": Dbm, "formula": Formula}
 
@@ -131,13 +147,14 @@ class SearchStats:
     stored: int = 0
     popped: int = 0
     subsumed: int = 0  # successors the visited set pruned
+    disabled: int = 0  # moves whose guard or invariant left nothing
     permuted: int = 0  # stored states whose canonical form differs from the state
     seconds: float = 0.0
 
     def __str__(self) -> str:
         return (
             f"stored={self.stored} popped={self.popped} subsumed={self.subsumed} "
-            f"permuted={self.permuted} time={self.seconds:.2f}s"
+            f"disabled={self.disabled} permuted={self.permuted} time={self.seconds:.2f}s"
         )
 
 
@@ -160,7 +177,10 @@ class Search:
     the network's tables, built by its first search and shared by every
     later one, as is the ``Network.entry`` of each vector and ``reads``:
     what a zone meets on entering the vector (invariant, freed clocks, L
-    and U).
+    and U).  So are the programs of this zone type and ``reads``:
+    ``programs`` maps a vector to its moves as ``(label, target,
+    program)`` (``compile``), and ``entries`` a source vector to the
+    program of entering it with no guard and no resets.
 
     Without diagonal atoms in the network's guards and invariants or in
     the target, stored zones stay exact and ``lu`` is set: the entry's
@@ -192,22 +212,24 @@ class Search:
             self.k = max_constants(net, replace(query, target=replace(query.target, constraint=self.reads)))
         self.lu = options.extrapolate and not diagonal
         self.equal = options.subsumption == "equal"
+        self.programs, self.entries = net._programs.setdefault((self.zone_type, self.reads), ({}, {}))
         self.stats = SearchStats()
         self.buckets: dict[LocationVector, Union[set, list[list]]] = {}
 
-    def enter(self, vector: LocationVector, zone: Zone) -> Optional[StateZone]:
-        """The stored state of a zone entering a location vector: the zone
-        constrained by the vector's invariant, delayed within it, its
-        inactive clocks freed, and widened past ``k`` unless ``k`` is None;
-        None when the invariant leaves nothing."""
+    def program(self, guard: ClockConstraint, resets: Sequence[ClockId], vector: LocationVector):
+        """A move into the vector compiled for this search's zone type."""
         entry = self.net.entry(vector, self.reads)
-        zone = zone.constrain(entry.invariant)
-        if zone.is_empty():
-            return None
-        zone = zone.elapse().constrain(entry.invariant).free(entry.freed)
-        if self.k is not None:
-            zone = zone.extrapolate(self.k)
-        return StateZone(vector, zone)
+        return self.zone_type.program(self.net.clocks, guard, resets, entry.invariant, entry.freed)
+
+    def compile(self, vector: LocationVector) -> list[tuple[LabelId, LocationVector, object]]:
+        """The vector's moves (``Network.moves``) as ``(label, target,
+        program)``, kept in ``programs``: a search of this zone type and
+        ``reads`` leaving the vector after this one compiles nothing."""
+        moves = self.programs[vector] = [
+            (label, target, self.program(guard, resets, target))
+            for label, guard, resets, target in self.net.moves(vector)
+        ]
+        return moves
 
     def _abstract(self, vector: LocationVector, zone: Zone) -> Zone:
         if not self.lu:
@@ -245,23 +267,37 @@ class Search:
 
 
 def root_state(search: Search) -> Optional[StateZone]:
-    """The stored form of the source state, None when the source is empty."""
+    """The stored form of the source state, None when the source is empty:
+    the source zone entering its vector by a move with no guard and no
+    resets."""
     source = search.query.source
-    zone = search.zone_type.from_constraint(source.constraint, search.net.clocks)
-    return search.enter(source.locations, zone)
+    vector = source.locations
+    program = search.entries.get(vector)
+    if program is None:
+        program = search.entries[vector] = search.program(TRUE, (), vector)
+    zone = search.zone_type.from_constraint(source.constraint, search.net.clocks).step(program)
+    if zone is None:
+        return None
+    if search.k is not None:
+        zone = zone.extrapolate(search.k)
+    return StateZone(vector, zone)
 
 
 def successors(search: Search, state: StateZone) -> Iterator[tuple[LabelId, StateZone]]:
     """All label moves from a state, in the declaration order of
     ``model.joint_moves`` (``Network.moves`` merges each one once)."""
-    zone = state.zone
-    for label, guard, resets, target in search.net.moves(state.locations):
-        moved = zone.constrain(guard)
-        if moved.is_empty():
+    zone, k = state.zone, search.k
+    moves = search.programs.get(state.locations)
+    if moves is None:
+        moves = search.compile(state.locations)
+    for label, target, program in moves:
+        succ = zone.step(program)
+        if succ is None:
+            search.stats.disabled += 1
             continue
-        succ = search.enter(target, moved.reset(resets))
-        if succ is not None:
-            yield label, succ
+        if k is not None:
+            succ = succ.extrapolate(k)
+        yield label, StateZone(target, succ)
 
 
 def is_goal(state: StateZone, target: StatePattern) -> bool:

@@ -95,6 +95,29 @@ class Formula:
     def is_empty(self) -> bool:
         return fm_is_empty(self)
 
+    @staticmethod
+    def program(
+        clocks: tuple[ClockId, ...],
+        guard: ClockConstraint,
+        resets: Sequence[ClockId],
+        invariant: ClockConstraint,
+        freed: Sequence[ClockId],
+    ) -> tuple:
+        """A move for ``step``: its constraints and clocks as given."""
+        return guard, tuple(resets), invariant, tuple(freed)
+
+    def step(self, program: tuple) -> Optional["Formula"]:
+        """The zone after the move, by the operations above one after the
+        other; None when the guard or the invariant leaves nothing."""
+        guard, resets, invariant, freed = program
+        zone = self.constrain(guard)
+        if zone.is_empty():
+            return None
+        zone = zone.reset(resets).constrain(invariant)
+        if zone.is_empty():
+            return None
+        return zone.elapse().constrain(invariant).free(freed)
+
     def extrapolate(self, k: Mapping[ClockId, int]) -> "Formula":
         return fm_extrapolate(self, k)
 

@@ -201,6 +201,13 @@ class Network:
     def _entries(self) -> dict[tuple[LocationVector, ClockConstraint], Entry]:
         return {}
 
+    @cached_property
+    def _programs(self) -> dict[tuple[type, ClockConstraint], tuple[dict, dict]]:
+        """(zone type, goal constraint) -> the zone type's compiled moves
+        per vector and the programs entering each source vector, filled
+        in by ``explorer``."""
+        return {}
+
     def moves(self, vector: LocationVector) -> tuple[Move, ...]:
         """The vector's joint moves in ``joint_moves`` order, each merged
         into ``(label, guard, resets, target vector)``: the conjunction of

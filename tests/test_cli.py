@@ -55,7 +55,7 @@ def test_empty_witness_is_marked(run):
 def test_stats_line_shape(run):
     code, out, _ = run(TRAIN_PATH, "--stats", "--query", UNSAFE)
     assert code == cli.OK
-    assert re.fullmatch(r"# stats: stored=\d+ popped=\d+ subsumed=\d+ permuted=\d+ time=\d+\.\d\ds", out.splitlines()[1])
+    assert re.fullmatch(r"# stats: stored=\d+ popped=\d+ subsumed=\d+ disabled=\d+ permuted=\d+ time=\d+\.\d\ds", out.splitlines()[1])
 
 
 def test_query_file_skips_comments(run):
@@ -217,7 +217,7 @@ def test_stats_line_follows_every_query_even_inconclusive(run):
     lines = out.splitlines()
     assert len(lines) == 2
     for line in lines:
-        assert re.fullmatch(r"# stats: stored=2 popped=\d+ subsumed=\d+ permuted=\d+ time=\d+\.\d\ds", line)
+        assert re.fullmatch(r"# stats: stored=2 popped=\d+ subsumed=\d+ disabled=\d+ permuted=\d+ time=\d+\.\d\ds", line)
 
 
 def test_the_package_runs_as_a_module():
@@ -245,7 +245,7 @@ def test_selftest_prints_a_stats_line_per_search(run):
     assert code == cli.OK and err == ""
     lines = out.splitlines()
     assert lines[-1] == "agree: 2/2"
-    configs = [re.fullmatch(r"# stats: (\w+/\w+) stored=\d+ popped=\d+ subsumed=\d+ permuted=\d+ time=\d+\.\d\ds", line)
+    configs = [re.fullmatch(r"# stats: (\w+/\w+) stored=\d+ popped=\d+ subsumed=\d+ disabled=\d+ permuted=\d+ time=\d+\.\d\ds", line)
                for line in lines[:-1]]
     assert all(configs)
     assert [m.group(1) for m in configs] == ["dbm/dfs", "dbm/bfs", "formula/dfs", "formula/bfs"] * 2

@@ -27,6 +27,7 @@ from oracles import (
 from zonereach.bounds import INF, ZERO_LE, bound, value
 from zonereach import dbm as dbm_module
 from zonereach.dbm import Dbm, _tighten
+from zonereach.formula import Formula
 from zonereach.model import Atom, ClockConstraint, ClockId, TRUE
 
 X = ClockId("x", 0)
@@ -527,6 +528,75 @@ def test_free_grows_stays_canonical_and_composes():
             assert from_bounds(clocks, f.cells).cells == f.cells
         assert f.free([a]).cells == f.cells
         assert f.free([b]).cells == z.free([b, a]).cells == z.free([b]).free([a]).cells
+
+
+def random_move(rng, clocks):
+    """A guard, resets, an invariant and freed clocks over the clocks, the
+    constraints with strict, ``=`` and diagonal atoms (``true`` without
+    clocks)."""
+    guard = random_atoms(rng, clocks) if clocks else TRUE
+    invariant = random_atoms(rng, clocks) if clocks and rng.random() < 0.8 else TRUE
+    resets = tuple(rng.sample(clocks, rng.randint(0, len(clocks))))
+    freed = tuple(c for c in clocks if rng.random() < 0.3)
+    return guard, resets, invariant, freed
+
+
+def stepped_by_hand(z, guard, resets, invariant, freed):
+    """The move as the chain of zone operations, and the stage that
+    emptied it (None when the result is not empty)."""
+    z = z.constrain(guard)
+    if z.is_empty():
+        return None, "guard"
+    z = z.reset(resets).constrain(invariant)
+    if z.is_empty():
+        return None, "invariant"
+    return z.elapse().constrain(invariant).free(freed), None
+
+
+def test_step_is_the_chain_of_zone_operations():
+    rng = random.Random(89)
+    stages = Counter()
+    for _ in range(1000):
+        clocks = make_clocks(rng.randint(0, 5))
+        z = random_zone(rng, clocks) if clocks else Dbm.universe(clocks)
+        if z.is_empty():
+            continue
+        if rng.random() < 0.5:
+            z = z.elapse()
+        move = random_move(rng, clocks)
+        cells = z.cells
+        got = z.step(Dbm.program(clocks, *move))
+        want, stage = stepped_by_hand(z, *move)
+        assert z.cells is cells
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.cells == want.cells
+            assert from_bounds(clocks, got.cells).cells == got.cells  # canonical
+        stages[stage] += 1
+    assert min(stages[s] for s in (None, "guard", "invariant")) > 100
+
+
+def test_formula_step_is_its_own_chain_and_agrees_with_the_dbm():
+    rng = random.Random(97)
+    stages = Counter()
+    for _ in range(150):
+        clocks = make_clocks(rng.randint(0, 5))
+        c = random_constraint(rng, clocks, max_atoms=3) if clocks else TRUE
+        f = Formula.from_constraint(c, clocks)
+        if f.is_empty():
+            continue
+        move = random_move(rng, clocks)
+        got = f.step(Formula.program(clocks, *move))
+        want, stage = stepped_by_hand(f, *move)
+        assert (got is None) == (want is None)
+        stepped = Dbm.from_constraint(c, clocks).step(Dbm.program(clocks, *move))
+        if got is None:
+            assert stepped is None
+        else:
+            assert got.atoms == want.atoms
+            assert got.closed_cells == stepped.cells
+        stages[stage] += 1
+    assert min(stages[s] for s in (None, "guard", "invariant")) > 10
 
 
 def test_to_constraint_roundtrips():

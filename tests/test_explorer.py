@@ -344,6 +344,58 @@ def test_a_network_enumerates_each_vectors_moves_once(train_net, queries, monkey
     assert len(calls) == 2 * first
 
 
+def test_a_second_search_compiles_no_program(monkeypatch):
+    compiled = []
+    program = Dbm.program
+
+    def counted(*args):
+        compiled.append(args)
+        return program(*args)
+
+    monkeypatch.setattr(Dbm, "program", staticmethod(counted))
+    net = parse_spec(gen.fischer_spec(6, 2))
+    text = gen.fischer_mutex_query(6)
+    query = parse_query(text, net)
+    for order in ("bfs", "dfs"):
+        assert explore(net, query, SearchOptions(order=order)).stats.stored == 89
+    # each move is compiled once, as is the source's entry; the DFS pops
+    # states as generated, at vectors the BFS never left, so it adds some
+    (moves, entries), = net._programs.values()
+    first = len(compiled)
+    assert first == sum(map(len, moves.values())) + len(entries) and len(entries) == 1
+    for order in ("bfs", "dfs"):
+        assert explore(net, query, SearchOptions(order=order)).stats.stored == 89
+    assert len(compiled) == first
+    # a target that reads a clock frees other clocks, so it compiles its own
+    reads_x1 = parse_query(text.replace("/true)", "/x1>5 ^ true)"), net)
+    assert explore(net, reads_x1).verdict is Verdict.UNREACHABLE
+    assert len(compiled) > first
+    # the tables stay with the network: a copy starts with none
+    copy = dataclasses.replace(net)
+    assert "_programs" not in vars(copy)
+    del compiled[:]
+    for order in ("bfs", "dfs"):
+        assert explore(copy, query, SearchOptions(order=order)).stats.stored == 89
+    assert len(compiled) == first
+
+
+@pytest.mark.parametrize("backend", ["dbm", "formula"])
+def test_disabled_counts_the_moves_whose_step_leaves_nothing(train_net, queries, backend, monkeypatch):
+    emptied = []
+    walk = explorer.successors
+
+    def counted(search, state):
+        found = list(walk(search, state))
+        emptied.append(len(search.programs[state.locations]) - len(found))
+        return iter(found)
+
+    monkeypatch.setattr(explorer, "successors", counted)
+    _, unsafe = queries
+    result = explore(dataclasses.replace(train_net), unsafe, SearchOptions(backend=backend))
+    assert result.stats.disabled == sum(emptied) > 0
+    assert f" disabled={sum(emptied)} " in str(result.stats)
+
+
 TARGET_BOUNDS_SPEC = """specification late
 Clocks x nil
 States s0 s1 s2 nil

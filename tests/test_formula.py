@@ -7,8 +7,10 @@ import ast
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -420,3 +422,18 @@ def test_the_two_backends_import_nothing_from_each_other():
             names.add(node.value)
     assert "atoms" in names  # the walk sees the oracle's own atom handling
     assert not {"_dbm_edges", "_close", "_tighten"} & names
+
+
+def test_the_package_imports_the_standard_library_only():
+    """The runtime stays pure standard library.  Each source file is read,
+    not imported: importing ``__main__`` would run the command line."""
+    allowed = set(sys.stdlib_module_names) | {"__future__", "zonereach"}
+    sources = sorted(Path(dbm.__file__).parent.glob("*.py"))
+    assert {"__main__.py", "dbm.py", "explorer.py"} <= {path.name for path in sources}
+    seen = set()
+    for path in sources:
+        imported = _imported_modules(SimpleNamespace(__file__=path))
+        outside = {name for name in imported if name.split(".")[0] not in allowed}
+        assert not outside, f"{path.name} imports {sorted(outside)}"
+        seen |= imported
+    assert {"dataclasses", "zonereach.model", "zonereach.cli"} <= seen  # the walk sees both kinds

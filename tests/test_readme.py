@@ -52,5 +52,5 @@ def test_stats_row_names_every_counter():
                       "--query", "go(Far.Up.u0.nil/true, In.Up.u0.nil/true)")
     assert done.returncode == 0, done.stderr
     fields = re.findall(r"(\w+)=", done.stdout.splitlines()[-1])
-    assert fields == ["stored", "popped", "subsumed", "permuted", "time"]
+    assert fields == ["stored", "popped", "subsumed", "disabled", "permuted", "time"]
     assert all(field in row for field in fields)
